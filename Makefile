@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-shards bench-server bench-smoke smoke golden server-smoke modelcheck fuzz-smoke qd qd-smoke blame blame-smoke cache cache-smoke ycsb ycsb-smoke ci
+.PHONY: all build test race vet fmt bench bench-shards bench-server bench-smoke smoke golden server-smoke modelcheck fuzz-smoke qd blame cache ycsb determinism-smoke blame-smoke ycsb-smoke ci
 
 all: build
 
@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The shard and server packages run three times more: their tests race
+# inline shard ops, cross-shard batch helpers, Close, and live connections.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./internal/shard ./internal/server
 
 vet:
 	$(GO) vet ./...
@@ -78,28 +81,16 @@ modelcheck:
 qd:
 	$(GO) run ./cmd/bandslim-bench -experiment qd -scale 20000 -seed 42 -json results
 
-# QD determinism gate: run the sweep twice at smoke scale and require
-# byte-identical JSON — the async window must not leak host scheduling into
-# simulated results.
-qd-smoke:
-	$(GO) run ./cmd/bandslim-bench -experiment qd -scale 1000 -seed 42 -json .qd1
-	$(GO) run ./cmd/bandslim-bench -experiment qd -scale 1000 -seed 42 -json .qd2
-	diff -u .qd1/BENCH_qd.json .qd2/BENCH_qd.json
-	rm -rf .qd1 .qd2
-
 # Regenerate the latency-attribution artifact: stage blame vs submission
 # window depth on the 4-shard stack (results/BENCH_blame.json). The sweep
 # fails if any op's stages do not sum exactly to its end-to-end latency.
 blame:
 	$(GO) run ./cmd/bandslim-bench -experiment blame -scale 20000 -seed 42 -json results
 
-# Blame determinism + invariant gate: run the sweep twice at smoke scale and
-# require byte-identical JSON, then capture a trace, analyze it twice, and
-# require byte-identical attribution CSV.
+# Blame invariant gate: capture a trace, analyze it twice, and require
+# byte-identical attribution CSV.
 blame-smoke:
-	$(GO) run ./cmd/bandslim-bench -experiment blame -scale 1000 -seed 42 -json .blame1
-	$(GO) run ./cmd/bandslim-bench -experiment blame -scale 1000 -seed 42 -json .blame2
-	diff -u .blame1/BENCH_blame.json .blame2/BENCH_blame.json
+	mkdir -p .blame1 .blame2
 	$(GO) run ./cmd/bandslim-bench -trace-jsonl .blame1/trace.jsonl -shards 2 -scale 1000 -seed 42
 	$(GO) run ./cmd/bandslim-cli analyze -csv .blame1/blame.csv -top 0 .blame1/trace.jsonl > /dev/null
 	$(GO) run ./cmd/bandslim-cli analyze -csv .blame2/blame.csv -top 0 .blame1/trace.jsonl > /dev/null
@@ -113,15 +104,6 @@ blame-smoke:
 cache:
 	$(GO) run ./cmd/bandslim-bench -experiment cache -scale 20000 -seed 42 -json results
 
-# Cache determinism gate: run the sweep twice at smoke scale and require
-# byte-identical JSON — cache state must be driven by the virtual clock and
-# seeds alone, never host scheduling.
-cache-smoke:
-	$(GO) run ./cmd/bandslim-bench -experiment cache -scale 1000 -seed 42 -json .cache1
-	$(GO) run ./cmd/bandslim-bench -experiment cache -scale 1000 -seed 42 -json .cache2
-	diff -u .cache1/BENCH_cache.json .cache2/BENCH_cache.json
-	rm -rf .cache1 .cache2
-
 # Regenerate the YCSB scenario-suite artifact: core workloads A-F with
 # time-varying arrivals (diurnal, bursty, jittered) and a mid-run hotspot
 # shift (results/BENCH_ycsb.json). Every value is simulated, so the artifact
@@ -129,15 +111,12 @@ cache-smoke:
 ycsb:
 	$(GO) run ./cmd/bandslim-bench -experiment ycsb -scale 20000 -seed 42 -json results
 
-# YCSB + trace-replay determinism gate: (1) the scenario suite run twice must
-# produce byte-identical JSON; (2) a recorded trace replayed against a fresh
-# stack must produce a byte-identical Prometheus exposition to the live run —
-# the replay-fidelity acceptance check; (3) recording twice must produce
+# Trace-replay gate: (1) a recorded trace replayed against a fresh stack
+# must produce a byte-identical Prometheus exposition to the live run — the
+# replay-fidelity acceptance check; (2) recording twice must produce
 # byte-identical trace files.
 ycsb-smoke:
-	$(GO) run ./cmd/bandslim-bench -experiment ycsb -scale 1000 -seed 42 -json .ycsb1
-	$(GO) run ./cmd/bandslim-bench -experiment ycsb -scale 1000 -seed 42 -json .ycsb2
-	diff -u .ycsb1/BENCH_ycsb.json .ycsb2/BENCH_ycsb.json
+	mkdir -p .ycsb1 .ycsb2
 	$(GO) run ./cmd/bandslim-cli trace record -scenario mixed -records 300 -ops 1000 -seed 42 -o .ycsb1/run.trace -metrics-out .ycsb1/live.prom > /dev/null
 	$(GO) run ./cmd/bandslim-cli trace record -scenario mixed -records 300 -ops 1000 -seed 42 -o .ycsb2/run.trace > /dev/null
 	diff -u .ycsb1/run.trace .ycsb2/run.trace
@@ -145,6 +124,23 @@ ycsb-smoke:
 	diff -u .ycsb1/live.prom .ycsb2/replay.prom
 	$(GO) run ./cmd/bandslim-cli trace stat .ycsb1/run.trace > /dev/null
 	rm -rf .ycsb1 .ycsb2
+
+# Experiments whose sim-clock JSON must be byte-identical run to run: the
+# queue-depth sweep (the async window must not leak host scheduling into
+# simulated results), the blame sweep (which also fails if any op's stages
+# do not sum to its latency), the cache sweep (cache state is driven by the
+# virtual clock and seeds alone), and the YCSB scenario suite.
+DETERMINISM_EXPERIMENTS = qd blame cache ycsb
+
+# Determinism gate: run each experiment twice at smoke scale and require
+# byte-identical BENCH_<experiment>.json.
+determinism-smoke:
+	@set -e; for e in $(DETERMINISM_EXPERIMENTS); do \
+		$(GO) run ./cmd/bandslim-bench -experiment $$e -scale 1000 -seed 42 -json .det1; \
+		$(GO) run ./cmd/bandslim-bench -experiment $$e -scale 1000 -seed 42 -json .det2; \
+		diff -u .det1/BENCH_$$e.json .det2/BENCH_$$e.json; \
+	done
+	rm -rf .det1 .det2
 
 # Short fixed-budget fuzz pass over the fault-plan parser, the journal
 # decoder/replayer, the RESP command parser, and the workload-trace parser,
@@ -155,4 +151,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRESPParse -fuzztime=5s ./internal/resp
 	$(GO) test -run=NONE -fuzz=FuzzTraceParse -fuzztime=5s ./internal/workload
 
-ci: build vet test race smoke bench-smoke server-smoke modelcheck qd-smoke blame-smoke cache-smoke ycsb-smoke fuzz-smoke
+ci: build vet test race smoke bench-smoke server-smoke modelcheck determinism-smoke blame-smoke ycsb-smoke fuzz-smoke

@@ -240,75 +240,148 @@ func TestWindowedGetBatchAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestShardedAllocsSteadyState guards the whole front-end surface at one and
+// two shards: single-key ops run on the caller under the shard mutex, and
+// cross-shard batches hand lanes to reused helper frames, so none of them may
+// allocate once warm.
 func TestShardedAllocsSteadyState(t *testing.T) {
 	for trName, tr := range tracers() {
 		t.Run(trName, func(t *testing.T) {
-			const nkeys = 16
-			keys := make([][]byte, nkeys)
-			value := make([]byte, 256)
-			for i := range keys {
-				keys[i] = []byte(fmt.Sprintf("sk%02d", i))
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					shardedAllocs(t, shards, tr)
+				})
 			}
-
-			// Write assertions on a NAND-off stack (NAND programs allocate
-			// FTL bookkeeping, and the write path never reads values back).
-			s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-				Shards:   2,
-				PerShard: allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, false, tr),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			for r := 0; r < 5; r++ {
-				for _, k := range keys {
-					if err := s.Put(k, value); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			i := 0
-			assertZeroAllocs(t, "ShardedDB.Put", 400, func() {
-				if err := s.Put(keys[i%nkeys], value); err != nil {
-					t.Fatal(err)
-				}
-				i++
-			})
-
-			// Read assertions need NAND on: value reads are served from the
-			// simulated vLog, which DisableNAND stubs out.
-			g, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-				Shards:   2,
-				PerShard: allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, tr),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer g.Close()
-			for _, k := range keys {
-				if err := g.Put(k, value); err != nil {
-					t.Fatal(err)
-				}
-			}
-			i = 0
-			assertZeroAllocs(t, "ShardedDB.Get", 400, func() {
-				v, err := g.Get(keys[i%nkeys])
-				if err != nil || len(v) != 256 {
-					t.Fatalf("Get: %d bytes, %v", len(v), err)
-				}
-				i++
-			})
-			dst := make([]byte, 0, 256)
-			i = 0
-			assertZeroAllocs(t, "ShardedDB.GetInto", 400, func() {
-				v, err := g.GetInto(keys[i%nkeys], dst)
-				if err != nil || len(v) != 256 {
-					t.Fatalf("GetInto: %d bytes, %v", len(v), err)
-				}
-				dst = v
-				i++
-			})
 		})
+	}
+}
+
+func shardedAllocs(t *testing.T, shards int, tr bandslim.Tracer) {
+	const nkeys = 16
+	keys := make([][]byte, nkeys)
+	value := make([]byte, 256)
+	values := make([][]byte, nkeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("sk%02d", i))
+		values[i] = value
+	}
+
+	// Write assertions on a NAND-off stack (NAND programs allocate FTL
+	// bookkeeping, and the write path never reads values back).
+	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
+		Shards:   shards,
+		PerShard: allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, false, tr),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for r := 0; r < 5; r++ {
+		for _, k := range keys {
+			if err := s.Put(k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.PutBatch(keys, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	assertZeroAllocs(t, "Put", 400, func() {
+		if err := s.Put(keys[i%nkeys], value); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	assertZeroAllocs(t, "PutBatch", 100, func() {
+		if err := s.PutBatch(keys, values); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The first Delete of each key inserts its tombstone (a structural
+	// allocation); repeat deletes overwrite it in place.
+	for _, k := range keys {
+		if err := s.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i = 0
+	assertZeroAllocs(t, "Delete", 400, func() {
+		if err := s.Delete(keys[i%nkeys]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+
+	// Read assertions need NAND on: value reads are served from the
+	// simulated vLog, which DisableNAND stubs out.
+	g, err := bandslim.OpenSharded(bandslim.ShardedConfig{
+		Shards:   shards,
+		PerShard: allocConfig(bandslim.Adaptive, bandslim.BackfillPacking, true, tr),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, k := range keys {
+		if err := g.Put(k, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i = 0
+	assertZeroAllocs(t, "Get", 400, func() {
+		v, err := g.Get(keys[i%nkeys])
+		if err != nil || len(v) != 256 {
+			t.Fatalf("Get: %d bytes, %v", len(v), err)
+		}
+		i++
+	})
+	dst := make([]byte, 0, 256)
+	i = 0
+	assertZeroAllocs(t, "GetInto", 400, func() {
+		v, err := g.GetInto(keys[i%nkeys], dst)
+		if err != nil || len(v) != 256 {
+			t.Fatalf("GetInto: %d bytes, %v", len(v), err)
+		}
+		dst = v
+		i++
+	})
+	vals := make([][]byte, nkeys)
+	miss := make([]bool, nkeys)
+	for r := 0; r < 4; r++ {
+		if _, err := g.GetBatchSparse(keys, vals, miss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertZeroAllocs(t, "GetBatchSparse", 100, func() {
+		out, err := g.GetBatchSparse(keys, vals, miss)
+		if err != nil || len(out[nkeys-1]) != 256 || miss[nkeys-1] {
+			t.Fatalf("GetBatchSparse: %v", err)
+		}
+	})
+
+	// Next: enough keys that the measured window never exhausts the merged
+	// iterator, few enough to stay resident in the MemTable.
+	for i := 0; i < 2000; i++ {
+		if err := g.Put([]byte(fmt.Sprintf("nk%06d", i)), make([]byte, 48)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := g.NewIterator([]byte("nk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8 && it.Valid(); i++ {
+		it.Next()
+	}
+	assertZeroAllocs(t, "Iterator.Next", 400, func() {
+		if !it.Valid() {
+			t.Fatal("iterator exhausted inside the measured window")
+		}
+		it.Next()
+	})
+	if it.Err() != nil {
+		t.Fatal(it.Err())
 	}
 }
 

@@ -21,9 +21,7 @@
 package bandslim
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"bandslim/internal/cache"
 	"bandslim/internal/device"
@@ -34,6 +32,7 @@ import (
 	"bandslim/internal/shard"
 	"bandslim/internal/sim"
 	"bandslim/internal/timeseries"
+	"bandslim/internal/trace"
 )
 
 // TransferMethod selects how values travel from host to device (§3.2).
@@ -83,18 +82,13 @@ type Thresholds = driver.Thresholds
 // the paper's synchronous passthrough byte-identically.
 type SubmissionConfig = driver.SubmissionConfig
 
-// PipelinedSubmission returns the policy the deprecated Config.Pipelined
-// toggle maps to: depth-1 burst mode (multi-command PUTs submit as one
-// doorbell burst; reads keep the synchronous passthrough).
-func PipelinedSubmission() SubmissionConfig { return driver.PipelinedSubmission() }
-
 // ConfigError reports a submission-policy field that failed validation;
 // Open, OpenSharded, and Tune return it wrapped — match with errors.As.
 type ConfigError = driver.ConfigError
 
 // Tuning is a snapshot update for a live DB's runtime knobs, with per-field
 // presence semantics: nil fields keep their current value, set fields apply
-// together after validation. See DB.Tune / ShardedDB.Tune.
+// together after validation. See DB.Tune.
 type Tuning = driver.Tuning
 
 // CacheConfig sizes the tiered read path: the simulated device-DRAM read
@@ -168,10 +162,6 @@ type Config struct {
 	// timings byte-identical to earlier releases. Validated at Open; a bad
 	// field fails with a wrapped ConfigError.
 	Submission SubmissionConfig
-	// Pipelined is the deprecated burst-submission toggle. When Submission
-	// is zero, Pipelined: true maps to PipelinedSubmission() (depth-1 burst
-	// mode); when Submission is set, Pipelined is ignored. Use Submission.
-	Pipelined bool
 	// Tracer, when non-nil, receives every command-level event the stack
 	// emits: driver submissions, doorbell MMIO, command fetches, SQ/CQ ring
 	// transitions, DMA transfers, page-buffer placements and flushes, and
@@ -182,7 +172,7 @@ type Config struct {
 	// MetricsInterval, when > 0, enables the simulated-time metrics
 	// sampler: the full Stats tree, buffer/vLog gauges, and the latency
 	// histograms are snapshotted every MetricsInterval simulated
-	// nanoseconds. Read the result with DB.Series / ShardedDB.Series and
+	// nanoseconds. Read the result with DB.Series and
 	// export it with WriteSeriesCSV; WritePrometheus works with or without
 	// the sampler. Zero (the default) disables sampling entirely.
 	MetricsInterval sim.Duration
@@ -215,25 +205,62 @@ func DefaultConfig() Config {
 	}
 }
 
-// DB is one simulated host + KV-SSD pair. All methods are safe for
-// concurrent use; operations serialize on an internal mutex, mirroring the
-// single submission queue of the paper's passthrough path (the simulated
-// clock is shared, so concurrency does not change simulated timings).
-type DB struct {
-	mu      sync.Mutex
-	cfg     Config
-	st      *shard.Stack
-	sampler *timeseries.Sampler // nil unless Config.MetricsInterval > 0
-	// batch backs PutBatch, created lazily under mu.
-	batch *driver.Batcher
-	// winH/winI are the windowed batch-read FIFO scratch (StartGet handles
-	// and their key indices), guarded by mu and reused across batches.
-	winH, winI []int
-	closed     bool
+// ShardedConfig assembles a multi-shard DB.
+type ShardedConfig struct {
+	// Shards is the number of independent device shards (>= 1). Each shard
+	// is a full host+device stack with its own simulated clock, PCIe link,
+	// NVMe queue pair, driver, and device.
+	Shards int
+	// PerShard configures every shard's stack, with the same semantics and
+	// defaults as Open. A non-nil PerShard.Tracer is shared by every shard
+	// (events carry shard ids); it must be safe for concurrent use.
+	PerShard Config
+	// TraceCapacity, when > 0, gives every shard its own ring-buffered
+	// recorder of that capacity and overrides PerShard.Tracer. Read the
+	// merged stream with TraceEvents.
+	TraceCapacity int
 }
 
-// stackOptions normalizes a Config into the per-stack options shared by the
-// single-DB and sharded front-ends, so both build byte-identical stacks.
+// DefaultShardedConfig returns the paper's headline per-shard configuration
+// across the given number of shards.
+func DefaultShardedConfig(shards int) ShardedConfig {
+	return ShardedConfig{Shards: shards, PerShard: DefaultConfig()}
+}
+
+// DB is a simulated host driving one or more KV-SSD shards. Open builds the
+// paper's testbed: one host + device pair behind one synchronous SQ/CQ pair.
+// OpenSharded hash-partitions keys across N such pairs, like a multi-queue
+// NVMe deployment with per-queue controllers; the shard count is the only
+// difference between the two.
+//
+// Every operation runs on the caller's goroutine under the mutex of the
+// shard that serves it. A batch spanning several shards runs its lanes in
+// parallel: the last on the caller, the others on per-shard helper
+// goroutines (OpenSharded(N) starts N-1 of them; Open starts none).
+//
+// Each shard is deterministic: the key partition fixes which shard serves
+// each operation, the shard mutex admits operations in submission order,
+// and per-shard simulated clocks advance independently. Aggregate Stats are
+// therefore order-independent: byte ledgers and NAND counts sum exactly,
+// latency distributions merge exactly, and aggregate simulated time is the
+// max over shard clocks (shards run in parallel, so the slowest defines the
+// span).
+//
+// All methods are safe for concurrent use; operations on different shards
+// proceed in parallel, operations on one shard serialize in arrival order.
+type DB struct {
+	cfg      ShardedConfig
+	g        *shard.Group
+	shards   []*shard.Shard
+	recs     []*trace.Recorder     // per-shard recorders (TraceCapacity > 0)
+	samplers []*timeseries.Sampler // per-shard samplers (MetricsInterval > 0)
+}
+
+// ShardedDB is DB; the name reads better where the shard count is above one.
+type ShardedDB = DB
+
+// stackOptions normalizes a Config into the options every shard's stack is
+// built from, so all shards are byte-identical.
 func stackOptions(cfg Config) shard.Options {
 	dcfg := cfg.Device
 	if dcfg.Geometry == (nand.Geometry{}) {
@@ -245,10 +272,6 @@ func stackOptions(cfg Config) shard.Options {
 	if thr.IsZero() {
 		thr = driver.DefaultThresholds()
 	}
-	sub := cfg.Submission
-	if sub == (SubmissionConfig{}) && cfg.Pipelined {
-		sub = driver.PipelinedSubmission()
-	}
 	if cfg.Cache != (CacheConfig{}) {
 		dcfg.Cache = cfg.Cache
 	}
@@ -256,7 +279,7 @@ func stackOptions(cfg Config) shard.Options {
 		Device:     dcfg,
 		Method:     cfg.Method,
 		Thresholds: thr,
-		Submission: sub,
+		Submission: cfg.Submission,
 		Tracer:     cfg.Tracer,
 		Faults:     cfg.Faults,
 		Retry:      cfg.Retry,
@@ -270,228 +293,120 @@ func cacheEnabled(cfg Config) bool {
 	return stackOptions(cfg).Device.Cache.Enabled()
 }
 
-// Open builds the full stack.
+// partitionSeed keys the shard partitioner. Fixed, so a given key always
+// lands on the same shard across processes and runs.
+const partitionSeed = 0xBA4D511E
+
+// Open builds the paper's testbed: a one-shard DB. It starts no goroutine.
 func Open(cfg Config) (*DB, error) {
-	st, err := shard.NewStack(stackOptions(cfg))
+	return OpenSharded(ShardedConfig{Shards: 1, PerShard: cfg})
+}
+
+// OpenSharded builds Shards independent stacks behind one DB.
+func OpenSharded(cfg ShardedConfig) (*DB, error) {
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("bandslim: ShardedConfig.Shards must be >= 1, got %d", cfg.Shards)
+	}
+	base := stackOptions(cfg.PerShard)
+	opts := make([]shard.Options, cfg.Shards)
+	var recs []*trace.Recorder
+	for i := range opts {
+		opts[i] = base
+		opts[i].ShardID = i
+		if cfg.TraceCapacity > 0 {
+			rec := trace.NewRecorder(cfg.TraceCapacity)
+			recs = append(recs, rec)
+			opts[i].Tracer = rec
+		}
+	}
+	g, err := shard.NewGroup(opts, partitionSeed)
 	if err != nil {
 		return nil, fmt.Errorf("bandslim: %w", err)
 	}
-	db := &DB{cfg: cfg, st: st}
-	if cfg.MetricsInterval > 0 {
-		faults := cfg.Faults != nil
-		cached := cacheEnabled(cfg)
-		db.sampler = timeseries.NewSampler(cfg.MetricsInterval, descsFor(faults, cached),
-			func() timeseries.Snapshot { return snapshotStack(st, faults, cached) })
+	db := &DB{cfg: cfg, g: g, shards: g.Shards(), recs: recs}
+	if interval := cfg.PerShard.MetricsInterval; interval > 0 {
+		// One sampler per shard, polled under the shard mutex after every
+		// operation.
+		faults := cfg.PerShard.Faults != nil
+		cached := cacheEnabled(cfg.PerShard)
+		for _, sh := range db.shards {
+			st := sh.Stack()
+			smp := timeseries.NewSampler(interval, descsFor(faults, cached),
+				func() timeseries.Snapshot { return snapshotStack(st, faults, cached) })
+			sh.SetAfterOp(func() { smp.Poll(st.Clock.Now()) })
+			db.samplers = append(db.samplers, smp)
+		}
 	}
 	return db, nil
-}
-
-// poll records any simulated-time metric samples due since the last
-// operation; callers hold db.mu. A single comparison when sampling is off
-// or no boundary was crossed.
-func (db *DB) poll() {
-	if db.sampler != nil {
-		db.sampler.Poll(db.st.Clock.Now())
-	}
 }
 
 // Error sentinels. Both are plain errors.New values: match them with
 // errors.Is, including through wrapped returns.
 var (
-	// ErrClosed is returned by operations on a closed DB or ShardedDB.
-	ErrClosed = errors.New("bandslim: DB is closed")
+	// ErrClosed is returned by operations on a closed DB.
+	ErrClosed = shard.ErrClosed
 	// ErrIterDone reports an exhausted device-side iterator, surfaced by
-	// the raw SEEK/NEXT path; the Iterator types translate it into
-	// Valid() == false.
+	// the raw SEEK/NEXT path; Iterator translates it into Valid() == false.
 	ErrIterDone = driver.ErrIterDone
 )
 
-// Put stores a key-value pair. Keys are 1–16 bytes.
-func (db *DB) Put(key, value []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	err := db.st.Drv.Put(key, value)
-	db.poll()
-	return err
-}
+// NumShards reports the shard count.
+func (db *DB) NumShards() int { return len(db.shards) }
+
+// ShardFor reports which shard index serves key.
+func (db *DB) ShardFor(key []byte) int { return db.g.ShardFor(key) }
+
+// Put stores a key-value pair on the key's shard. Keys are 1–16 bytes.
+func (db *DB) Put(key, value []byte) error { return db.g.For(key).Put(key, value) }
 
 // Get fetches the value for key. The returned slice is a view into the
-// driver's reusable read buffer: it stays valid until this DB's next
-// operation and must not be modified. Callers that retain the value past the
-// next operation — or run operations concurrently from other goroutines —
-// should use GetInto, which copies before the lock is released.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	v, err := db.st.Drv.Get(key)
-	db.poll()
-	return v, err
-}
+// shard driver's reusable read buffer: it stays valid until that shard's
+// next operation and must not be modified. Callers that retain the value —
+// or run operations concurrently from other goroutines — should use
+// GetInto, which copies before the shard is released.
+func (db *DB) Get(key []byte) ([]byte, error) { return db.g.For(key).Get(key) }
 
 // GetInto fetches the value for key and copies it into dst (grown as
 // needed), returning the filled slice. Unlike Get, the result is caller-
 // owned: it remains valid across later operations and under concurrent use.
 // Pass a reused buffer to make steady-state reads allocation-free.
-func (db *DB) GetInto(key, dst []byte) ([]byte, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	v, err := db.st.Drv.Get(key)
-	if err == nil {
-		dst = append(dst[:0], v...)
-	}
-	db.poll()
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
+func (db *DB) GetInto(key, dst []byte) ([]byte, error) { return db.g.For(key).GetInto(key, dst) }
 
-// PutBatch writes the pairs through the host-side batcher as bulk
+// Delete removes a key.
+func (db *DB) Delete(key []byte) error { return db.g.For(key).Delete(key) }
+
+// PutBatch writes the pairs through each shard's host-side batcher as bulk
 // OpKVBatchWrite commands and flushes, so every record is durable when it
 // returns. One bulk command amortizes per-command round trips across up to
-// shard.DefaultBatchOps records — the high-throughput ingest path.
+// 128 records — the high-throughput ingest path. Lanes on different shards
+// run in parallel. The first error in shard order wins; records on other
+// shards may still have been written.
 func (db *DB) PutBatch(keys, values [][]byte) error {
 	if len(keys) != len(values) {
-		return fmt.Errorf("bandslim: PutBatch got %d keys, %d values", len(keys), len(values))
+		return fmt.Errorf("bandslim: PutBatch got %d keys and %d values", len(keys), len(values))
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.batch == nil {
-		b, err := db.st.Drv.NewBatcher(shard.DefaultBatchOps)
-		if err != nil {
-			return err
-		}
-		db.batch = b
-	}
-	for i := range keys {
-		if err := db.batch.Put(keys[i], values[i]); err != nil {
-			db.poll()
-			return err
-		}
-	}
-	err := db.batch.Flush()
-	db.poll()
-	return err
+	return db.g.PutBatch(keys, values)
 }
 
 // GetBatch resolves every key, copying each value into the matching vals
 // lane (vals[i], grown as needed; a nil vals allocates one). The filled
-// slice-of-slices is returned; values are caller-owned copies. On error,
-// lanes past the failing key are left untouched.
+// slice-of-slices is returned; values are caller-owned copies, so passing
+// the returned slice back in makes the steady state allocation-free. On
+// error, lanes after the failing key on that shard are left untouched.
 func (db *DB) GetBatch(keys, vals [][]byte) ([][]byte, error) {
 	if vals == nil {
 		vals = make([][]byte, len(keys))
 	}
 	if len(vals) != len(keys) {
-		return nil, fmt.Errorf("bandslim: GetBatch got %d keys, %d value lanes", len(keys), len(vals))
+		return vals, fmt.Errorf("bandslim: GetBatch got %d keys and %d dst lanes", len(keys), len(vals))
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if db.st.Drv.WindowDepth() >= 2 {
-		if _, err := db.getBatchWindowed(keys, vals, nil); err != nil {
-			return nil, err
-		}
-		return vals, nil
-	}
-	for i := range keys {
-		v, err := db.st.Drv.Get(keys[i])
-		if err != nil {
-			db.poll()
-			return nil, err
-		}
-		vals[i] = append(vals[i][:0], v...)
-		db.poll()
-	}
-	return vals, nil
+	return vals, db.g.GetBatch(keys, vals)
 }
 
-// getBatchWindowed pumps keys through the driver's asynchronous submission
-// window — up to WindowDepth reads in flight, completions reaped out of
-// order and claimed in submission order. Callers hold db.mu. A nil miss
-// makes any error fatal; a non-nil miss absorbs not-found completions.
-// The loop is written closure-free: the steady-state batch-read path must
-// not allocate, and closures over the cursor variables would escape.
-func (db *DB) getBatchWindowed(keys, vals [][]byte, miss []bool) (int, error) {
-	drv := db.st.Drv
-	depth := drv.WindowDepth()
-	db.winH, db.winI = db.winH[:0], db.winI[:0]
-	head, next, n := 0, 0, 0
-	for {
-		// Reap the oldest in-flight read while the window is full, or once
-		// every key has been submitted.
-		for head < len(db.winH) && (len(db.winH)-head >= depth || next == len(keys)) {
-			h, i := db.winH[head], db.winI[head]
-			head++
-			v, err := drv.WaitGetInto(h, vals[i])
-			if err != nil {
-				if miss != nil && IsNotFound(err) {
-					miss[i] = true
-					vals[i] = vals[i][:0]
-					n++
-					db.poll()
-					continue
-				}
-				drv.DrainWindow()
-				db.poll()
-				return n, err
-			}
-			if miss != nil {
-				miss[i] = false
-			}
-			vals[i] = v
-			n++
-			db.poll()
-		}
-		if next == len(keys) {
-			return n, nil
-		}
-		// A known-missing key resolves host-side: no command is built and no
-		// simulated time passes, exactly as Driver.Get short-circuits the
-		// serial path.
-		if drv.NegativeKnown(keys[next]) {
-			if miss == nil {
-				drv.DrainWindow()
-				db.poll()
-				return n, driver.ErrNegativeHit
-			}
-			miss[next] = true
-			vals[next] = vals[next][:0]
-			n++
-			next++
-			db.poll()
-			continue
-		}
-		h, err := drv.StartGet(keys[next])
-		if err != nil {
-			drv.DrainWindow()
-			db.poll()
-			return n, err
-		}
-		db.winH = append(db.winH, h)
-		db.winI = append(db.winI, next)
-		next++
-	}
-}
-
-// GetBatchSparse resolves keys in bulk like GetBatch, but a missing key sets
-// miss[i] (leaving vals[i] empty) instead of failing the whole batch. miss
-// must have len(keys) entries. This is the lookup MGET rides: absent keys
-// become null replies, not errors.
+// GetBatchSparse resolves keys in bulk like GetBatch, but an absent key sets
+// miss[i] (and empties its vals lane) instead of failing the batch — the
+// lookup MGET and coalesced GET runs ride, where a miss must become a null
+// reply, not an error. miss must have len(keys) entries.
 func (db *DB) GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error) {
 	if vals == nil {
 		vals = make([][]byte, len(keys))
@@ -500,174 +415,69 @@ func (db *DB) GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error)
 		return vals, fmt.Errorf("bandslim: GetBatchSparse got %d keys, %d dst lanes, %d miss flags",
 			len(keys), len(vals), len(miss))
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return vals, ErrClosed
-	}
-	if db.st.Drv.WindowDepth() >= 2 {
-		_, err := db.getBatchWindowed(keys, vals, miss)
-		return vals, err
-	}
-	for i := range keys {
-		v, err := db.st.Drv.Get(keys[i])
-		if err != nil {
-			if IsNotFound(err) {
-				miss[i] = true
-				vals[i] = vals[i][:0]
-				db.poll()
-				continue
-			}
-			db.poll()
-			return vals, err
-		}
-		miss[i] = false
-		vals[i] = append(vals[i][:0], v...)
-		db.poll()
-	}
-	return vals, nil
+	return vals, db.g.GetBatchSparse(keys, vals, miss)
 }
 
-// Delete removes a key.
-func (db *DB) Delete(key []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	err := db.st.Drv.Delete(key)
-	db.poll()
-	return err
-}
+// Flush forces every shard's buffered values and index entries to NAND, in
+// parallel. The first error in shard order wins.
+func (db *DB) Flush() error { return db.g.Flush() }
 
-// Flush forces buffered values and index entries to NAND.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	err := db.st.Drv.Flush()
-	db.poll()
-	return err
-}
+// Close flushes every shard, stops the helper goroutines, and shuts the DB.
+// Further operations fail with ErrClosed; Stats, Now, and the exporters stay
+// readable. Idempotent.
+func (db *DB) Close() error { return db.g.Close() }
 
-// Close flushes and shuts the DB. Further operations fail with ErrClosed.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil
-	}
-	err := db.st.Drv.Flush()
-	db.poll()
-	db.closed = true
-	return err
-}
-
-// Iterator streams key-value pairs in key order via the device-side
-// SEEK/NEXT commands.
-type Iterator struct {
-	db    *DB
-	key   []byte
-	value []byte
-	err   error
-	valid bool
-}
+// Iterator streams key-value pairs in global key order, k-way merging the
+// shards' device-side SEEK/NEXT iterators. Each pair is copied out of the
+// driver's read buffer, so it stays valid while the caller interleaves other
+// DB operations. Each shard's device holds a single iterator, so writes
+// interleaved with iteration invalidate the snapshot (as on the real
+// device); iterate before mutating. After Close, Next fails with ErrClosed.
+type Iterator = shard.MergeIterator
 
 // NewIterator opens an iterator at the first key >= start (nil starts at the
 // beginning). The iterator is positioned on its first pair; check Valid.
 func (db *DB) NewIterator(start []byte) (*Iterator, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
 	if start == nil {
 		start = []byte{0}
 	}
-	if err := db.st.Drv.Seek(start); err != nil {
-		return nil, err
-	}
-	it := &Iterator{db: db}
-	it.next()
-	return it, nil
+	return shard.NewMergeIterator(db.shards, start)
 }
 
-// Valid reports whether the iterator holds a pair.
-func (it *Iterator) Valid() bool { return it.valid }
-
-// Key returns the current key.
-func (it *Iterator) Key() []byte { return it.key }
-
-// Value returns the current value.
-func (it *Iterator) Value() []byte { return it.value }
-
-// Err reports the error that stopped iteration, if any.
-func (it *Iterator) Err() error { return it.err }
-
-// Next advances to the following pair. The device holds a single iterator,
-// so writes interleaved with iteration invalidate the snapshot (as on the
-// real device); iterate before mutating.
-func (it *Iterator) Next() {
-	it.db.mu.Lock()
-	defer it.db.mu.Unlock()
-	it.next()
+// Now reports the aggregate simulated time: the max over shard clocks, since
+// shards advance independently like parallel NVMe queues.
+func (db *DB) Now() sim.Time {
+	var max sim.Time
+	for _, sh := range db.shards {
+		if t := sh.Now(); t > max {
+			max = t
+		}
+	}
+	return max
 }
 
-func (it *Iterator) next() {
-	if it.db.closed {
-		it.err = ErrClosed
-		it.valid = false
-		return
-	}
-	k, v, err := it.db.st.Drv.Next()
-	it.db.poll()
-	if errors.Is(err, ErrIterDone) {
-		it.valid = false
-		return
-	}
-	if err != nil {
-		it.err = err
-		it.valid = false
-		return
-	}
-	// Copy the driver's read-buffer views into iterator-owned reused
-	// buffers, so the pair stays valid while the caller interleaves other
-	// DB operations.
-	it.key = append(it.key[:0], k...)
-	it.value = append(it.value[:0], v...)
-	it.valid = true
-}
-
-// Now reports the DB's simulated time.
-func (db *DB) Now() sim.Time { return db.st.Clock.Now() }
-
-// Tune applies the present (non-nil) fields of a Tuning to the live DB in
-// one step — transfer method, thresholds, retry policy, and submission
-// policy. An invalid Submission fails with a ConfigError before anything is
-// applied. It fails with ErrClosed after Close.
+// Tune applies the present (non-nil) fields of a Tuning to every shard —
+// transfer method, thresholds, retry policy, and submission policy. Each
+// driver validates Submission before applying any field and every shard
+// sees the same Tuning, so an invalid policy fails with a ConfigError
+// without leaving the shards half-tuned. It fails with ErrClosed after
+// Close.
 func (db *DB) Tune(t Tuning) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	for _, sh := range db.shards {
+		if err := sh.Tune(t); err != nil {
+			return err
+		}
 	}
-	return db.st.Drv.Tune(t)
+	return nil
 }
 
-// SetMethod switches the transfer method on the live DB (between benchmark
-// phases). It is shorthand for Tune with only Method set and fails with
-// ErrClosed after Close.
-func (db *DB) SetMethod(m TransferMethod) error {
-	return db.Tune(Tuning{Method: &m})
-}
-
-// SetThresholds replaces the adaptive calibration on the live DB. It is
-// shorthand for Tune with only Thresholds set and fails with ErrClosed
-// after Close.
-func (db *DB) SetThresholds(t Thresholds) error {
-	return db.Tune(Tuning{Thresholds: &t})
+// Submission reports the submission policy in effect on shard 0 (Tune keeps
+// every shard on the same policy).
+func (db *DB) Submission() SubmissionConfig {
+	var sub SubmissionConfig
+	sh := db.shards[0]
+	sh.Do(func() { sub = sh.Stack().Drv.Submission() })
+	return sub
 }
 
 // OpLatency is one named latency distribution inside an Inspection — a
@@ -677,16 +487,12 @@ type OpLatency struct {
 	LatencySummary
 }
 
-// Inspection is a read-only snapshot of the simulation's internal state —
-// the diagnostics the removed Internals() accessor used to expose as live
-// pointers. Every field is a copy; holding one never races with ongoing
-// operations.
+// Inspection is a read-only snapshot of the simulation's internal state.
+// Every field is a copy; holding one never races with ongoing operations.
 type Inspection struct {
-	// Host-side configuration in effect. Pipelined mirrors
-	// Submission.DoorbellBatch > 1 for callers of the legacy toggle.
+	// Host-side configuration in effect.
 	Method     TransferMethod
 	Thresholds Thresholds
-	Pipelined  bool
 	Submission SubmissionConfig
 	// Device-side packing policy in effect.
 	Policy PackingPolicy
@@ -709,9 +515,9 @@ type Inspection struct {
 	// Both are in first-observation order.
 	OpLatency     []OpLatency
 	MethodLatency []OpLatency
-	// Trace reports the attached ring recorder's health (zero when
-	// Config.Tracer is absent or not a *Recorder). Nonzero Dropped means
-	// latency attribution over the buffer sees a truncated stream.
+	// Trace reports the trace rings' health (zero without a ring
+	// recorder). Nonzero Dropped means latency attribution over the buffer
+	// sees a truncated stream.
 	Trace TraceStats
 }
 
@@ -725,39 +531,34 @@ func summarizeSet(set *metrics.HistogramSet) []OpLatency {
 	return out
 }
 
-// Inspect snapshots the simulation's internal state. It remains usable after
-// Close (the snapshot reflects the final state).
+// Inspect snapshots shard 0's internal state, plus the health of every
+// trace ring. It remains usable after Close (the snapshot reflects the final
+// state).
 func (db *DB) Inspect() Inspection {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ins := inspectStack(db.st)
-	if rec, ok := db.cfg.Tracer.(*Recorder); ok && rec != nil {
-		ins.Trace = TraceStats{Buffered: int64(rec.Len()), Dropped: rec.Dropped()}
-	}
+	var ins Inspection
+	sh := db.shards[0]
+	sh.Do(func() {
+		st := sh.Stack()
+		buf := st.Dev.Buffer()
+		now := st.Clock.Now()
+		ins = Inspection{
+			Method:          st.Drv.Method(),
+			Thresholds:      st.Drv.Thresholds(),
+			Submission:      st.Drv.Submission(),
+			Policy:          buf.Policy(),
+			Now:             now,
+			WireUtilization: st.Link.WireUtilization(now),
+			BufferWP:        buf.WP(),
+			BufferFrontier:  buf.Frontier(),
+			OpenPages:       buf.OpenPages(),
+			VLogFreeBytes:   st.Dev.VLog().FreeBytes(),
+			MaxWear:         st.Dev.Flash().MaxWear(),
+			OpLatency:       summarizeSet(st.Drv.Stats().PerOp),
+			MethodLatency:   summarizeSet(st.Drv.Stats().PerMethod),
+		}
+	})
+	ins.Trace = db.traceStats()
 	return ins
-}
-
-// inspectStack builds an Inspection from one stack; the caller must hold
-// whatever serializes access to it.
-func inspectStack(st *shard.Stack) Inspection {
-	buf := st.Dev.Buffer()
-	now := st.Clock.Now()
-	return Inspection{
-		Method:          st.Drv.Method(),
-		Thresholds:      st.Drv.Thresholds(),
-		Pipelined:       st.Drv.Pipelined(),
-		Submission:      st.Drv.Submission(),
-		Policy:          buf.Policy(),
-		Now:             now,
-		WireUtilization: st.Link.WireUtilization(now),
-		BufferWP:        buf.WP(),
-		BufferFrontier:  buf.Frontier(),
-		OpenPages:       buf.OpenPages(),
-		VLogFreeBytes:   st.Dev.VLog().FreeBytes(),
-		MaxWear:         st.Dev.Flash().MaxWear(),
-		OpLatency:       summarizeSet(st.Drv.Stats().PerOp),
-		MethodLatency:   summarizeSet(st.Drv.Stats().PerMethod),
-	}
 }
 
 // Batcher buffers PUTs on the host and ships them as bulk writes — the
@@ -766,46 +567,57 @@ func inspectStack(st *shard.Stack) Inspection {
 type Batcher = driver.Batcher
 
 // NewBatcher returns a host-side batcher flushing every batchSize records.
+// The batcher drives one device directly, so it needs a one-shard DB.
 func (db *DB) NewBatcher(batchSize int) (*Batcher, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
+	if len(db.shards) > 1 {
+		return nil, fmt.Errorf("bandslim: NewBatcher needs a one-shard DB, this one has %d shards", len(db.shards))
 	}
-	return db.st.Drv.NewBatcher(batchSize)
+	var b *Batcher
+	err := db.shards[0].Exec(func(st *shard.Stack) (err error) {
+		b, err = st.Drv.NewBatcher(batchSize)
+		return err
+	})
+	return b, err
 }
 
-// CompactVLog garbage-collects the oldest `pages` value-log pages
-// (WiscKey-style): live values relocate to the log head, dead space from
-// overwrites and deletes is reclaimed, and the freed NAND pages are trimmed.
-// It reports how many values were relocated. Call when VLogFreeBytes runs
-// low on delete/overwrite-heavy workloads.
+// CompactVLog garbage-collects the oldest `pages` value-log pages on every
+// shard (WiscKey-style): live values relocate to the log head, dead space
+// from overwrites and deletes is reclaimed, and the freed NAND pages are
+// trimmed. It reports how many values were relocated in total. Call when
+// VLogFreeBytes runs low on delete/overwrite-heavy workloads.
 func (db *DB) CompactVLog(pages int) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
+	total := 0
+	for _, sh := range db.shards {
+		n, err := sh.CompactVLog(pages)
+		total += n
+		if err != nil {
+			return total, err
+		}
 	}
-	n, err := db.st.Drv.CompactVLog(pages)
-	db.poll()
-	return n, err
+	return total, nil
 }
 
-// VLogFreeBytes reports how much value-log space remains before compaction
-// is required.
-func (db *DB) VLogFreeBytes() int64 { return db.st.Dev.VLog().FreeBytes() }
+// VLogFreeBytes reports how much value-log space remains, summed over
+// shards, before compaction is required.
+func (db *DB) VLogFreeBytes() int64 {
+	var free int64
+	for _, sh := range db.shards {
+		sh.Do(func() { free += sh.Stack().Dev.VLog().FreeBytes() })
+	}
+	return free
+}
 
 // DeviceInfo is the controller's identify structure (model, capacity,
 // geometry, and BandSlim capability fields).
 type DeviceInfo = device.IdentifyData
 
-// Identify fetches the controller's identify structure via the NVMe admin
-// path the paper's design preserves.
+// Identify fetches shard 0's identify structure via the NVMe admin path the
+// paper's design preserves.
 func (db *DB) Identify() (DeviceInfo, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return DeviceInfo{}, ErrClosed
-	}
-	return db.st.Drv.Identify()
+	var info DeviceInfo
+	err := db.shards[0].Exec(func(st *shard.Stack) (err error) {
+		info, err = st.Drv.Identify()
+		return err
+	})
+	return info, err
 }

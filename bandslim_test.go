@@ -315,8 +315,8 @@ func TestInspectSnapshot(t *testing.T) {
 	if len(insp.MethodLatency) == 0 {
 		t.Fatal("per-method latency missing")
 	}
-	if insp.Policy != db.cfg.Policy {
-		t.Fatalf("Policy = %v, want %v", insp.Policy, db.cfg.Policy)
+	if insp.Policy != db.cfg.PerShard.Policy {
+		t.Fatalf("Policy = %v, want %v", insp.Policy, db.cfg.PerShard.Policy)
 	}
 	// The snapshot is a copy: mutating it must not touch the DB.
 	insp.BufferWP = -1
@@ -367,7 +367,11 @@ func TestPipelinedConfig(t *testing.T) {
 	sOps := serial.Stats().Host.WriteResp.Mean
 	serial.Close()
 
-	pipe := openSmall(t, func(c *Config) { c.Method = Piggyback; c.DisableNAND = true; c.Pipelined = true })
+	pipe := openSmall(t, func(c *Config) {
+		c.Method = Piggyback
+		c.DisableNAND = true
+		c.Submission = SubmissionConfig{QueueDepth: 1, DoorbellBatch: 64}
+	})
 	pipe.Put([]byte("k"), make([]byte, 1024))
 	pOps := pipe.Stats().Host.WriteResp.Mean
 	pipe.Close()

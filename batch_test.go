@@ -24,14 +24,31 @@ func batchKV(n int) (keys, values [][]byte) {
 	return keys, values
 }
 
-func TestPutBatchGetBatchRoundTrip(t *testing.T) {
-	db, err := bandslim.Open(bandslim.DefaultConfig())
+func openBatchDB(t *testing.T, shards int) *bandslim.DB {
+	t.Helper()
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: bandslim.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
+	return db
+}
 
-	keys, values := batchKV(200)
+func TestPutBatchGetBatchRoundTrip(t *testing.T) {
+	batchRoundTrip(t, openBatchDB(t, 1), 200)
+}
+
+func TestShardedBatchRoundTrip(t *testing.T) {
+	batchRoundTrip(t, openBatchDB(t, 2), 256)
+	batchRoundTrip(t, openBatchDB(t, 4), 256)
+}
+
+// batchRoundTrip writes n records in one batch and reads them back through
+// the batch and per-key paths, then overwrites them in place and growing.
+func batchRoundTrip(t *testing.T, db *bandslim.DB, n int) {
+	t.Helper()
+	shards := db.NumShards()
+	keys, values := batchKV(n)
 	if err := db.PutBatch(keys, values); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +58,15 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 	}
 	for i := range keys {
 		if !bytes.Equal(got[i], values[i]) {
-			t.Fatalf("key %s: got %d bytes, want %d", keys[i], len(got[i]), len(values[i]))
+			t.Fatalf("shards=%d key %s: got %d bytes, want %d", shards, keys[i], len(got[i]), len(values[i]))
+		}
+	}
+
+	// The batch path must agree with the per-key routed path.
+	for i := 0; i < len(keys); i += 29 {
+		v, err := db.Get(keys[i])
+		if err != nil || !bytes.Equal(v, values[i]) {
+			t.Fatalf("shards=%d Get(%s) after PutBatch: %v", shards, keys[i], err)
 		}
 	}
 
@@ -59,128 +84,50 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 	}
 	for i := range keys {
 		if !bytes.Equal(got2[i], values[i]) {
-			t.Fatalf("key %s: overwrite not visible through reused lanes", keys[i])
+			t.Fatalf("shards=%d key %s: overwrite not visible through reused lanes", shards, keys[i])
 		}
 	}
 
-	// Per-op Get must agree with the batch write path.
-	for i := 0; i < len(keys); i += 37 {
-		v, err := db.Get(keys[i])
-		if err != nil || !bytes.Equal(v, values[i]) {
-			t.Fatalf("Get(%s) after PutBatch: %v", keys[i], err)
-		}
-	}
-}
-
-func TestShardedBatchRoundTrip(t *testing.T) {
-	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-		Shards:   4,
-		PerShard: bandslim.DefaultConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	keys, values := batchKV(256)
-	if err := s.PutBatch(keys, values); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetBatch(keys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		if !bytes.Equal(got[i], values[i]) {
-			t.Fatalf("key %s: cross-shard batch read mismatch (%d vs %d bytes)",
-				keys[i], len(got[i]), len(values[i]))
-		}
-	}
-
-	// The batch fan-out must agree with the per-key routed path.
-	for i := 0; i < len(keys); i += 29 {
-		v, err := s.Get(keys[i])
-		if err != nil || !bytes.Equal(v, values[i]) {
-			t.Fatalf("Get(%s) after sharded PutBatch: %v", keys[i], err)
-		}
-	}
-
-	// Batch updates interleaved with per-op writes stay consistent.
+	// Growing overwrites stay consistent too.
 	for i := range values {
 		values[i] = append(values[i], 0xAB)
 	}
-	if err := s.PutBatch(keys, values); err != nil {
+	if err := db.PutBatch(keys, values); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.GetBatch(keys, got)
+	got, err = db.GetBatch(keys, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range keys {
 		if !bytes.Equal(got[i], values[i]) {
-			t.Fatalf("key %s: sharded batch overwrite mismatch", keys[i])
+			t.Fatalf("shards=%d key %s: growing batch overwrite mismatch", shards, keys[i])
 		}
 	}
 }
 
 func TestBatchArgumentErrors(t *testing.T) {
-	db, err := bandslim.Open(bandslim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 2, PerShard: bandslim.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	keys := [][]byte{[]byte("a"), []byte("b")}
-	one := [][]byte{[]byte("x")}
-	if err := db.PutBatch(keys, one); err == nil {
-		t.Error("DB.PutBatch accepted mismatched key/value counts")
-	}
-	if _, err := db.GetBatch(keys, one); err == nil {
-		t.Error("DB.GetBatch accepted mismatched key/lane counts")
-	}
-	if err := s.PutBatch(keys, one); err == nil {
-		t.Error("ShardedDB.PutBatch accepted mismatched key/value counts")
-	}
-	if _, err := s.GetBatch(keys, one); err == nil {
-		t.Error("ShardedDB.GetBatch accepted mismatched key/lane counts")
-	}
-
-	if _, err := db.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
-		t.Error("DB.GetBatch of an absent key succeeded")
-	}
-	if _, err := s.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
-		t.Error("ShardedDB.GetBatch of an absent key succeeded")
+	for _, shards := range []int{1, 2, 4} {
+		db := openBatchDB(t, shards)
+		keys := [][]byte{[]byte("a"), []byte("b")}
+		one := [][]byte{[]byte("x")}
+		if err := db.PutBatch(keys, one); err == nil {
+			t.Errorf("shards=%d: PutBatch accepted mismatched key/value counts", shards)
+		}
+		if _, err := db.GetBatch(keys, one); err == nil {
+			t.Errorf("shards=%d: GetBatch accepted mismatched key/lane counts", shards)
+		}
+		if _, err := db.GetBatch([][]byte{[]byte("missing")}, nil); err == nil {
+			t.Errorf("shards=%d: GetBatch of an absent key succeeded", shards)
+		}
 	}
 }
 
-// TestGetBatchSparse checks the miss-tolerant batch lookup on both
-// front-ends: present keys copy into their lanes, absent keys set miss[i]
-// with an empty lane, and no error is raised for the misses.
+// TestGetBatchSparse checks the miss-tolerant batch lookup at every shard
+// count: present keys copy into their lanes, absent keys set miss[i] with an
+// empty lane, and no error is raised for the misses.
 func TestGetBatchSparse(t *testing.T) {
-	db, err := bandslim.Open(bandslim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 4, PerShard: bandslim.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
 	keys, values := batchKV(64)
-	if err := db.PutBatch(keys, values); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutBatch(keys, values); err != nil {
-		t.Fatal(err)
-	}
-
 	// Interleave present and absent keys.
 	probe := make([][]byte, 0, len(keys)*2)
 	wantMiss := make([]bool, 0, len(keys)*2)
@@ -192,45 +139,46 @@ func TestGetBatchSparse(t *testing.T) {
 			wantMiss = append(wantMiss, true)
 		}
 	}
-	check := func(name string, get func(keys, vals [][]byte, miss []bool) ([][]byte, error)) {
-		t.Helper()
+	for _, shards := range []int{1, 2, 4} {
+		db := openBatchDB(t, shards)
+		if err := db.PutBatch(keys, values); err != nil {
+			t.Fatal(err)
+		}
 		miss := make([]bool, len(probe))
-		got, err := get(probe, nil, miss)
+		got, err := db.GetBatchSparse(probe, nil, miss)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		vi := 0
 		for i := range probe {
 			if miss[i] != wantMiss[i] {
-				t.Fatalf("%s: key %q miss=%v, want %v", name, probe[i], miss[i], wantMiss[i])
+				t.Fatalf("shards=%d: key %q miss=%v, want %v", shards, probe[i], miss[i], wantMiss[i])
 			}
 			if wantMiss[i] {
 				if len(got[i]) != 0 {
-					t.Fatalf("%s: absent key %q got %d bytes", name, probe[i], len(got[i]))
+					t.Fatalf("shards=%d: absent key %q got %d bytes", shards, probe[i], len(got[i]))
 				}
 				continue
 			}
 			if !bytes.Equal(got[i], values[vi]) {
-				t.Fatalf("%s: key %q value mismatch", name, probe[i])
+				t.Fatalf("shards=%d: key %q value mismatch", shards, probe[i])
 			}
 			vi++
 		}
 		// Mismatched miss length is an argument error.
-		if _, err := get(probe, nil, make([]bool, 1)); err == nil {
-			t.Fatalf("%s: accepted short miss slice", name)
+		if _, err := db.GetBatchSparse(probe, nil, make([]bool, 1)); err == nil {
+			t.Fatalf("shards=%d: accepted short miss slice", shards)
 		}
 	}
-	check("DB", db.GetBatchSparse)
-	check("ShardedDB", s.GetBatchSparse)
 }
 
 // TestBatchPathDeterminism replays the same batched workload twice and
 // requires byte-identical exported metrics: the batch fast path must not
 // introduce any run-to-run nondeterminism into simulated time.
 func TestBatchPathDeterminism(t *testing.T) {
-	run := func() (string, string) {
+	run := func(shards int) (string, string) {
 		s, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-			Shards:   4,
+			Shards:   shards,
 			PerShard: bandslim.DefaultConfig(),
 		})
 		if err != nil {
@@ -256,12 +204,14 @@ func TestBatchPathDeterminism(t *testing.T) {
 		}
 		return prom.String(), csv.String()
 	}
-	prom1, csv1 := run()
-	prom2, csv2 := run()
-	if prom1 != prom2 {
-		t.Error("batched workload: WritePrometheus output differs between identical runs")
-	}
-	if csv1 != csv2 {
-		t.Error("batched workload: WriteSeriesCSV output differs between identical runs")
+	for _, shards := range []int{1, 2, 4} {
+		prom1, csv1 := run(shards)
+		prom2, csv2 := run(shards)
+		if prom1 != prom2 {
+			t.Errorf("shards=%d: WritePrometheus output differs between identical runs", shards)
+		}
+		if csv1 != csv2 {
+			t.Errorf("shards=%d: WriteSeriesCSV output differs between identical runs", shards)
+		}
 	}
 }

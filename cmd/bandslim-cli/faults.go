@@ -9,8 +9,8 @@ package main
 //
 //	bandslim-cli faults [-salt N] [-max-occ N] <plan-file|->
 //
-// -salt selects the shard whose schedule to resolve (ShardedDB salts each
-// shard's fault stream with its shard id; a single DB uses salt 0).
+// -salt selects the shard whose schedule to resolve (a DB salts each
+// shard's fault stream with its shard id; a one-shard DB uses salt 0).
 // Probabilistic rules resolve through the same seeded RNG the injector uses,
 // so the printed schedule is exactly what that run will execute.
 
@@ -25,7 +25,7 @@ import (
 
 func runFaults(args []string) {
 	fs := flag.NewFlagSet("faults", flag.ExitOnError)
-	salt := fs.Uint64("salt", 0, "injector salt (= shard id for ShardedDB; 0 for a single DB)")
+	salt := fs.Uint64("salt", 0, "injector salt (= shard id; 0 for a one-shard DB)")
 	maxOcc := fs.Int("max-occ", 100, "resolve each rule over its first N in-window site occurrences")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: bandslim-cli faults [-salt N] [-max-occ N] <plan-file|->")

@@ -49,73 +49,32 @@ func runTrace(args []string) {
 	}
 }
 
-// traceStack opens the fixed stack configuration record and replay share:
-// identical configs are what make the live and replayed runs comparable
-// byte for byte.
-func traceStack(shards int) (bench.ScenarioDB, error) {
+// driveAndReport runs a scenario on a fresh stack, closes it, and exports
+// artifacts. Record and replay both open the stack here: identical configs
+// are what make the live and replayed runs comparable byte for byte. The
+// final Prometheus exposition goes to metricsOut when set; progress messages
+// go to human, which is stderr when the trace itself is being streamed to
+// stdout.
+func driveAndReport(shards int, s workload.Scenario, seed uint64,
+	rec *workload.Trace, metricsOut string, human io.Writer) {
 	per := bandslim.DefaultConfig()
 	per.MetricsInterval = 100 * sim.Microsecond
-	if shards <= 1 {
-		return bandslim.Open(per)
-	}
-	return bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
-}
-
-// writeExposition renders the stack's final Prometheus exposition, shared
-// by record and replay so the two files are diffable. Progress messages go
-// to human, which is stderr when the trace itself is being streamed to
-// stdout.
-func writeExposition(db bench.ScenarioDB, path string, human io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: max(shards, 1), PerShard: per})
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
+		os.Exit(1)
 	}
-	var werr error
-	switch d := db.(type) {
-	case *bandslim.DB:
-		werr = d.WritePrometheus(f)
-	case *bandslim.ShardedDB:
-		werr = d.WritePrometheus(f)
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(human, "wrote", path)
-	return nil
-}
-
-// closeStack closes either stack flavor.
-func closeStack(db bench.ScenarioDB) error {
-	switch d := db.(type) {
-	case *bandslim.DB:
-		return d.Close()
-	case *bandslim.ShardedDB:
-		return d.Close()
-	}
-	return nil
-}
-
-// driveAndReport runs a scenario, closes the stack, and exports artifacts.
-func driveAndReport(db bench.ScenarioDB, s workload.Scenario, seed uint64,
-	rec *workload.Trace, metricsOut string, human io.Writer) {
 	res, err := bench.DriveScenario(db, s, seed, rec)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && metricsOut != "" {
+		err = writeFile(metricsOut, db.WritePrometheus)
+		if err == nil {
+			fmt.Fprintln(human, "wrote", metricsOut)
+		}
+	}
 	if err != nil {
-		closeStack(db)
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
-	}
-	if err := closeStack(db); err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
-	}
-	if err := writeExposition(db, metricsOut, human); err != nil {
 		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
 		os.Exit(1)
 	}
@@ -123,6 +82,19 @@ func driveAndReport(db bench.ScenarioDB, s workload.Scenario, seed uint64,
 		"%d misses, %.1f KiB written, %.3f ms simulated, %.1f sim Kops\n",
 		s.Name(), res.Ops, res.Reads, res.Updates, res.Scans, res.RMWs, res.Deletes,
 		res.Misses, float64(res.BytesWritten)/1024, res.Elapsed.Micros()/1000, res.SimKops())
+}
+
+// writeFile creates path and renders into it.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runTraceRecord(args []string) {
@@ -156,11 +128,6 @@ func runTraceRecord(args []string) {
 		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
 		os.Exit(1)
 	}
-	db, err := traceStack(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
-	}
 	// When the trace streams to stdout, human-readable progress must not
 	// pollute it — a piped `record -o - | replay -` would otherwise choke
 	// on the summary line.
@@ -169,7 +136,7 @@ func runTraceRecord(args []string) {
 		human = os.Stderr
 	}
 	var tr workload.Trace
-	driveAndReport(db, s, *seed, &tr, *metricsOut, human)
+	driveAndReport(*shards, s, *seed, &tr, *metricsOut, human)
 	w := io.Writer(os.Stdout)
 	if *out != "-" {
 		f, err := os.Create(*out)
@@ -233,12 +200,7 @@ func runTraceReplay(args []string) {
 		os.Exit(2)
 	}
 	tr := readTraceArg(fs)
-	db, err := traceStack(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bandslim-cli:", err)
-		os.Exit(1)
-	}
-	driveAndReport(db, workload.NewReplay(tr), tr.Seed, nil, *metricsOut, os.Stdout)
+	driveAndReport(*shards, workload.NewReplay(tr), tr.Seed, nil, *metricsOut, os.Stdout)
 }
 
 func runTraceStat(args []string) {

@@ -107,7 +107,7 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // IsPowerLoss reports whether err is a power-loss completion — the device is
-// down and DB.Recover (or ShardedDB.Recover) is required.
+// down and DB.Recover is required.
 func IsPowerLoss(err error) bool {
 	s, ok := nvme.StatusOf(err)
 	return ok && s == nvme.StatusPowerLoss
@@ -132,19 +132,13 @@ func IsNotFound(err error) bool {
 	return ok && s == nvme.StatusKeyNotFound
 }
 
-// Recover remounts the device after a power cut: fresh queues, the LSM index
-// rolled back to its last durable flush, and the battery-backed index journal
-// replayed — restoring every acknowledged write. Unacknowledged operations
-// that were in flight when power was lost are atomically present or absent.
-// A plan can cut power again during replay; Recover then returns a power-loss
-// error and a subsequent Recover resumes where replay stopped.
-func (db *DB) Recover() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	err := db.st.Drv.Recover()
-	db.poll()
-	return err
-}
+// Recover remounts every shard's device after a power cut, in parallel:
+// fresh queues, the LSM index rolled back to its last durable flush, and the
+// battery-backed index journal replayed — restoring every acknowledged
+// write. Unacknowledged operations that were in flight when power was lost
+// are atomically present or absent. Mounting a shard that never lost power
+// is a harmless no-op, so Recover is safe to call whenever any operation
+// reports IsPowerLoss. A plan can cut power again during replay; Recover
+// then returns a power-loss error and a subsequent Recover resumes where
+// replay stopped. The first error in shard order wins.
+func (db *DB) Recover() error { return db.g.Recover() }

@@ -335,7 +335,7 @@ func RunAblationPipeline(o Options) (*Table, error) {
 			return nil, err
 		}
 		pipeCfg := benchConfig(bandslim.Piggyback, bandslim.Block, false)
-		pipeCfg.Pipelined = true
+		pipeCfg.Submission = bandslim.SubmissionConfig{QueueDepth: 1, DoorbellBatch: 64}
 		pipe, err := runWith(workload.NewFillSeq(o.Scale, size), pipeCfg)
 		if err != nil {
 			return nil, err

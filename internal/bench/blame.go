@@ -4,7 +4,7 @@ package bench
 // workload goes as the submission window deepens — and the machine check
 // that attribution itself is sound. Every point re-runs the stage
 // reconstruction over a fresh trace and fails hard if any op violates the
-// residual-zero invariant, so `make blame-smoke` doubles as a correctness
+// residual-zero invariant, so `make determinism-smoke` doubles as a correctness
 // gate, not just a determinism diff.
 
 import (

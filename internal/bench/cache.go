@@ -6,7 +6,7 @@ package bench
 // the virtual clock, and splits latencies into the hot set (the top 1% of
 // ranks, which the cache must capture) and the cold remainder. Every figure
 // is simulated, so two runs with the same scale and seed produce
-// byte-identical BENCH_cache.json — the determinism gate `make cache-smoke`
+// byte-identical BENCH_cache.json — the determinism gate `make determinism-smoke`
 // relies on that. The sweep hard-fails if the hot-read p99 at the default
 // operating point (LRU, 4 MiB, s=0.99) does not improve at least 3x over
 // cache-off at the same skew.

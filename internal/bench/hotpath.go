@@ -346,9 +346,9 @@ func runHotpathWall(o Options) ([]HotpathWall, error) {
 }
 
 // runShardBatchPoint replays the same pre-generated workload through the
-// batched submission fast path: records ship through ShardedDB.PutBatch in
+// batched submission fast path: records ship through DB.PutBatch in
 // fixed-size chunks, which partitions each chunk into per-shard lanes and
-// fans bulk OpKVBatchWrite commands out to the shard workers in parallel.
+// runs the lanes' bulk OpKVBatchWrite commands in parallel.
 func runShardBatchPoint(o Options, shards int, method bandslim.TransferMethod, policy bandslim.PackingPolicy) (int64, time.Duration, error) {
 	s, err := openShardedStack(shards, method, policy)
 	if err != nil {
@@ -384,9 +384,9 @@ func runShardBatchPoint(o Options, shards int, method bandslim.TransferMethod, p
 	return ops, wall, nil
 }
 
-// openShardedStack opens a ShardedDB with the bench geometry, matching
+// openShardedStack opens a multi-shard DB with the bench geometry, matching
 // runShardPoint's stack so per-op and batch rows compare like for like.
-func openShardedStack(shards int, method bandslim.TransferMethod, policy bandslim.PackingPolicy) (*bandslim.ShardedDB, error) {
+func openShardedStack(shards int, method bandslim.TransferMethod, policy bandslim.PackingPolicy) (*bandslim.DB, error) {
 	cfg := bandslim.DefaultConfig()
 	cfg.Method = method
 	cfg.Policy = policy

@@ -4,7 +4,7 @@ package bench
 // throughput over the paper's synchronous testbed. Every figure in the
 // output is simulated (no wall-clock fields), so two runs with the same
 // scale and seed produce byte-identical BENCH_qd.json — the determinism
-// gate `make qd-smoke` relies on that.
+// gate `make determinism-smoke` relies on that.
 
 import (
 	"encoding/json"

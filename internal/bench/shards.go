@@ -39,7 +39,7 @@ var shardConfigs = []struct {
 	{"Backfill", bandslim.Adaptive, bandslim.BackfillPacking},
 }
 
-// runShardPoint drives one ShardedDB with one feeder goroutine per shard.
+// runShardPoint drives one multi-shard DB with one feeder goroutine per shard.
 // Ops are pre-generated and pre-partitioned so the measured window contains
 // only Put traffic; each feeder touches a single shard, so simulated results
 // stay deterministic while wall-clock throughput scales with parallelism.

@@ -18,7 +18,7 @@ import (
 // paper's trajectories at bench scales, coarse enough to keep series small.
 const DefaultMetricsInterval = 100 * sim.Microsecond
 
-// Telemetry drives one instrumented workload-M run on a ShardedDB with the
+// Telemetry drives one instrumented workload-M run on a multi-shard DB with
 // simulated-time metrics sampler enabled, and exposes live progress while
 // the feeders execute — the backing for bandslim-bench's -metrics-out,
 // -series-out, and -listen flags. Simulated results are deterministic for a
@@ -26,7 +26,7 @@ const DefaultMetricsInterval = 100 * sim.Microsecond
 type Telemetry struct {
 	// DB is the live sharded stack. Scrape it concurrently with
 	// WritePrometheus/Stats; the caller closes it when done.
-	DB       *bandslim.ShardedDB
+	DB       *bandslim.DB
 	opsTotal int64
 	opsDone  atomic.Int64
 	start    time.Time

@@ -45,64 +45,42 @@ func traceKey(i int) []byte {
 // command-level tracing enabled and returns the event stream, merged across
 // shards and ordered by simulated start time. Value sizes cycle through
 // inline, PRP, hybrid, and multi-page transfers, and every key is read back,
-// so the capture exercises each path the driver can take. shards <= 1 traces
-// a plain DB; larger counts trace a ShardedDB with per-shard recorders.
+// so the capture exercises each path the driver can take. Every shard gets
+// its own trace ring; shards <= 1 traces one shard.
 func CaptureTrace(o Options, shards int) ([]bandslim.TraceEvent, error) {
 	o = o.normalized()
 	ops := o.Scale
 	if ops > traceCaptureOps {
 		ops = traceCaptureOps
 	}
-	if shards <= 1 {
-		rec := bandslim.NewRecorder(traceCaptureCapacity)
-		cfg := traceConfig()
-		cfg.Tracer = rec
-		db, err := bandslim.Open(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer db.Close()
-		if err := traceWorkload(db, ops); err != nil {
-			return nil, err
-		}
-		return rec.TraceEvents(), nil
-	}
-	sdb, err := bandslim.OpenSharded(bandslim.ShardedConfig{
-		Shards:        shards,
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{
+		Shards:        max(shards, 1),
 		PerShard:      traceConfig(),
 		TraceCapacity: traceCaptureCapacity,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sdb.Close()
-	if err := traceWorkload(sdb, ops); err != nil {
+	defer db.Close()
+	if err := traceWorkload(db, ops); err != nil {
 		return nil, err
 	}
-	return sdb.TraceEvents(), nil
-}
-
-// traceKV is the subset of the front-end surface the capture workload needs;
-// both DB and ShardedDB satisfy it.
-type traceKV interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Flush() error
+	return db.TraceEvents(), nil
 }
 
 // traceWorkload writes ops values cycling through traceValueSizes, reads
 // each back, and flushes so the capture ends with NAND programs.
-func traceWorkload(kv traceKV, ops int) error {
+func traceWorkload(db *bandslim.DB, ops int) error {
 	for i := 0; i < ops; i++ {
 		size := traceValueSizes[i%len(traceValueSizes)]
-		if err := kv.Put(traceKey(i), make([]byte, size)); err != nil {
+		if err := db.Put(traceKey(i), make([]byte, size)); err != nil {
 			return fmt.Errorf("trace capture put %d: %w", i, err)
 		}
 	}
 	for i := 0; i < ops; i++ {
-		if _, err := kv.Get(traceKey(i)); err != nil {
+		if _, err := db.Get(traceKey(i)); err != nil {
 			return fmt.Errorf("trace capture get %d: %w", i, err)
 		}
 	}
-	return kv.Flush()
+	return db.Flush()
 }

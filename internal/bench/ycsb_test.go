@@ -23,33 +23,18 @@ func mixedScenario(t *testing.T, seed uint64) workload.Scenario {
 	return s
 }
 
-func openDrive(t *testing.T, shards int) ScenarioDB {
+func openDrive(t *testing.T, shards int) *bandslim.DB {
 	t.Helper()
-	cfg := bandslim.DefaultConfig()
-	if shards <= 1 {
-		db, err := bandslim.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: cfg})
+	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: bandslim.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db
 }
 
-func closeDrive(t *testing.T, db ScenarioDB) {
+func closeDrive(t *testing.T, db *bandslim.DB) {
 	t.Helper()
-	var err error
-	switch d := db.(type) {
-	case *bandslim.DB:
-		err = d.Close()
-	case *bandslim.ShardedDB:
-		err = d.Close()
-	}
-	if err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -218,15 +218,8 @@ func (d *Driver) SetTracer(tr trace.Tracer) { d.tr = tr }
 // Method reports the configured transfer method.
 func (d *Driver) Method() Method { return d.method }
 
-// SetMethod switches the transfer method (between benchmark phases). It is
-// a thin wrapper over Tune.
-func (d *Driver) SetMethod(m Method) { _ = d.Tune(Tuning{Method: &m}) }
-
 // Thresholds reports the adaptive calibration.
 func (d *Driver) Thresholds() Thresholds { return d.thr }
-
-// SetThresholds replaces the adaptive calibration; a thin wrapper over Tune.
-func (d *Driver) SetThresholds(t Thresholds) { _ = d.Tune(Tuning{Thresholds: &t}) }
 
 // Retry reports the active retry policy.
 func (d *Driver) Retry() RetryPolicy { return d.retry }
@@ -234,21 +227,6 @@ func (d *Driver) Retry() RetryPolicy { return d.retry }
 // SetRetry replaces the retry policy (the zero value restores defaults); a
 // thin wrapper over Tune.
 func (d *Driver) SetRetry(r RetryPolicy) { _ = d.Tune(Tuning{Retry: &r}) }
-
-// SetPipelined toggles burst submission of multi-command PUTs (default off,
-// matching the paper's serialized passthrough testbed). It is a thin
-// wrapper over SetSubmission: on maps to PipelinedSubmission(), off to the
-// zero (synchronous) policy.
-func (d *Driver) SetPipelined(on bool) {
-	if on {
-		_ = d.SetSubmission(PipelinedSubmission())
-	} else {
-		_ = d.SetSubmission(SubmissionConfig{})
-	}
-}
-
-// Pipelined reports whether burst submission is enabled.
-func (d *Driver) Pipelined() bool { return d.pipelined }
 
 // Now reports the simulated time.
 func (d *Driver) Now() sim.Time { return d.clock.Now() }

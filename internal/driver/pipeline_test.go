@@ -6,14 +6,25 @@ import (
 	"testing"
 )
 
+// burstSubmission is depth-1 burst mode: multi-command PUTs submit as one
+// doorbell burst while reads keep the synchronous passthrough.
+var burstSubmission = SubmissionConfig{QueueDepth: 1, DoorbellBatch: 64}
+
+func setBurst(t *testing.T, d *Driver) {
+	t.Helper()
+	if err := d.SetSubmission(burstSubmission); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPipelinedToggle(t *testing.T) {
 	d, _, _ := newStack(t, MethodPiggyback, false)
-	if d.Pipelined() {
+	if d.pipelined || d.Submission().burst() {
 		t.Fatal("pipelining on by default; the paper's testbed serializes")
 	}
-	d.SetPipelined(true)
-	if !d.Pipelined() {
-		t.Fatal("SetPipelined lost")
+	setBurst(t, d)
+	if !d.pipelined || d.Submission() != burstSubmission {
+		t.Fatal("burst submission lost")
 	}
 }
 
@@ -23,7 +34,7 @@ func TestPipelinedPutFasterThanSerial(t *testing.T) {
 	sResp := serial.Stats().WriteResponse.Mean()
 
 	pipe, _, _ := newStack(t, MethodPiggyback, false)
-	pipe.SetPipelined(true)
+	setBurst(t, pipe)
 	pipe.Put([]byte("k"), make([]byte, 2048))
 	pResp := pipe.Stats().WriteResponse.Mean()
 
@@ -34,7 +45,7 @@ func TestPipelinedPutFasterThanSerial(t *testing.T) {
 
 func TestPipelinedFewerDoorbells(t *testing.T) {
 	d, _, link := newStack(t, MethodPiggyback, false)
-	d.SetPipelined(true)
+	setBurst(t, d)
 	d.Put([]byte("k"), make([]byte, 1024)) // 19 commands, one burst
 	if got := link.Traf.Doorbells.Value(); got != 2 {
 		t.Fatalf("doorbells = %d, want 2 (one SQ + one CQ)", got)
@@ -48,7 +59,7 @@ func TestPipelinedBurstSplitsAtQueueDepth(t *testing.T) {
 	// A 4 KiB value needs 74 commands; the default 64-deep SQ forces two
 	// bursts, and everything still lands correctly.
 	d, _, link := newStack(t, MethodPiggyback, true)
-	d.SetPipelined(true)
+	setBurst(t, d)
 	v := make([]byte, 4096)
 	for i := range v {
 		v[i] = byte(i * 11)
@@ -67,7 +78,7 @@ func TestPipelinedBurstSplitsAtQueueDepth(t *testing.T) {
 
 func TestPipelinedRoundTripsAllSizes(t *testing.T) {
 	d, _, _ := newStack(t, MethodPiggyback, true)
-	d.SetPipelined(true)
+	setBurst(t, d)
 	for _, size := range []int{1, 35, 36, 100, 500, 3000} {
 		key := []byte(fmt.Sprintf("p%d", size))
 		v := bytes.Repeat([]byte{byte(size)}, size)

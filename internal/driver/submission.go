@@ -39,8 +39,7 @@ type SubmissionConfig struct {
 	// DoorbellBatch coalesces SQ doorbell MMIOs: the window rings once per
 	// DoorbellBatch queued submissions instead of once per command (waits
 	// flush the remainder). 0 and 1 mean one doorbell per submission; any
-	// value > 1 also turns on burst submission of multi-command PUTs (the
-	// old Pipelined toggle).
+	// value > 1 also turns on burst submission of multi-command PUTs.
 	DoorbellBatch int
 
 	// CoalesceInterval, when > 0, quantizes device completion readiness up
@@ -48,13 +47,6 @@ type SubmissionConfig struct {
 	// sweeps. It requires QueueDepth >= 2: coalescing a sync passthrough
 	// only adds latency with nothing to batch.
 	CoalesceInterval sim.Duration
-}
-
-// PipelinedSubmission returns the policy the legacy Pipelined toggle maps
-// to: depth-1 burst mode. Multi-command PUTs submit as one doorbell burst,
-// while reads keep the synchronous passthrough.
-func PipelinedSubmission() SubmissionConfig {
-	return SubmissionConfig{QueueDepth: 1, DoorbellBatch: 64}
 }
 
 // async reports whether the config opens a multi-command window.

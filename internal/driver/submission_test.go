@@ -86,21 +86,21 @@ func TestSubmissionConfigValidation(t *testing.T) {
 
 func TestSubmissionZeroValueIsSync(t *testing.T) {
 	d, _, _ := newStack(t, MethodAdaptive, false)
-	if d.Pipelined() || d.WindowDepth() != 1 {
-		t.Fatalf("zero-value submission: Pipelined=%v WindowDepth=%d, want sync passthrough",
-			d.Pipelined(), d.WindowDepth())
+	if d.pipelined || d.WindowDepth() != 1 {
+		t.Fatalf("zero-value submission: pipelined=%v WindowDepth=%d, want sync passthrough",
+			d.pipelined, d.WindowDepth())
 	}
-	// The deprecated toggle maps onto the new policy: depth-1 burst mode.
-	d.SetPipelined(true)
-	if !d.Pipelined() {
-		t.Fatal("SetPipelined(true) not reflected by Pipelined()")
+	// Depth-1 burst mode turns on burst PUTs without opening a window, and
+	// the zero value turns them back off.
+	setBurst(t, d)
+	if !d.pipelined || d.WindowDepth() != 1 {
+		t.Fatalf("burst submission: pipelined=%v WindowDepth=%d", d.pipelined, d.WindowDepth())
 	}
-	if sub := d.Submission(); sub != PipelinedSubmission() {
-		t.Fatalf("SetPipelined(true) → %+v, want %+v", sub, PipelinedSubmission())
+	if err := d.SetSubmission(SubmissionConfig{}); err != nil {
+		t.Fatal(err)
 	}
-	d.SetPipelined(false)
-	if sub := d.Submission(); sub != (SubmissionConfig{}) {
-		t.Fatalf("SetPipelined(false) → %+v, want zero value", sub)
+	if sub := d.Submission(); sub != (SubmissionConfig{}) || d.pipelined {
+		t.Fatalf("SetSubmission(zero) → %+v, pipelined=%v, want sync passthrough", sub, d.pipelined)
 	}
 }
 

@@ -138,7 +138,7 @@ func (cm *cmd) capture(args [][]byte) {
 // ring and a writer goroutine draining, coalescing, and replying.
 type conn struct {
 	s  *Server
-	db *bandslim.ShardedDB
+	db *bandslim.DB
 	nc net.Conn
 	r  *resp.Reader
 	w  *resp.Writer

@@ -9,7 +9,7 @@
 // backpressure to the client through TCP flow control. The writer drains
 // every queued slot per wakeup and coalesces the burst: consecutive SETs
 // become one PutBatch, consecutive GETs one GetBatchSparse, fanned across
-// shard lanes by the ShardedDB batch path, with a single output flush per
+// shard lanes by the DB batch path, with a single output flush per
 // burst. Pipelined clients therefore get batch-path service automatically.
 //
 // Clocking is hybrid, after OpenCXD: the network edge (accept, parse, reply)
@@ -40,7 +40,7 @@ type Config struct {
 
 	// DB is the store being served. The server does not close it; the
 	// process owning both shuts the server down first, then the DB.
-	DB *bandslim.ShardedDB
+	DB *bandslim.DB
 
 	// Window bounds in-flight parsed commands per connection (the slot
 	// ring). When every slot is in flight the reader stops reading — TCP
@@ -78,7 +78,7 @@ var opNames = [numOpcodes]string{
 	"ping", "set", "get", "del", "mset", "mget", "scan", "info", "shutdown", "other",
 }
 
-// Server is a RESP front-end over one ShardedDB. Create with New, start with
+// Server is a RESP front-end over one DB. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown.
 type Server struct {
 	cfg    Config

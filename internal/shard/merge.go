@@ -21,19 +21,19 @@ type MergeIterator struct {
 	err  error
 }
 
-// source holds one shard's current pair, copied out of the shard driver's
-// read-buffer views into source-owned reused buffers (the heap retains pairs
-// across other shards' operations).
+// source holds one shard's current pair in source-owned reused buffers
+// (the heap retains pairs across other shards' operations).
 type source struct {
 	sh    *Shard
 	key   []byte
 	value []byte
 }
 
-// set copies a pair into the source's reused buffers.
-func (s *source) set(k, v []byte) {
-	s.key = append(s.key[:0], k...)
-	s.value = append(s.value[:0], v...)
+// next loads the shard's next pair into the source's buffers.
+func (s *source) next() error {
+	var err error
+	s.key, s.value, err = s.sh.Next(s.key, s.value)
+	return err
 }
 
 type sourceHeap []*source
@@ -64,15 +64,14 @@ func NewMergeIterator(shards []*Shard, start []byte) (*MergeIterator, error) {
 		if err := sh.Seek(start); err != nil {
 			return nil, err
 		}
-		k, v, err := sh.Next()
+		src := &source{sh: sh}
+		err := src.next()
 		if err == driver.ErrIterDone {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		src := &source{sh: sh}
-		src.set(k, v)
 		m.srcs = append(m.srcs, src)
 	}
 	heap.Init(&m.srcs)
@@ -106,8 +105,7 @@ func (m *MergeIterator) Next() {
 	if !m.Valid() {
 		return
 	}
-	top := m.srcs[0]
-	k, v, err := top.sh.Next()
+	err := m.srcs[0].next()
 	if err == driver.ErrIterDone {
 		heap.Pop(&m.srcs)
 		return
@@ -116,6 +114,5 @@ func (m *MergeIterator) Next() {
 		m.err = err
 		return
 	}
-	top.set(k, v)
 	heap.Fix(&m.srcs, 0)
 }

@@ -1,25 +1,26 @@
-// Package shard runs N independent BandSlim host+device stacks in parallel.
+// Package shard runs N independent BandSlim host+device stacks.
 //
 // The paper's testbed is deliberately serialized: one passthrough SQ/CQ pair
 // and one synchronous round trip per command (§4.2 notes the improvement
 // that serialization leaves on the table). A Shard is one such serialized
 // stack — its own sim.Clock, pcie.Link, nvme.HostMemory, device.Device, and
-// driver.Driver — bound to a dedicated worker goroutine, so a front-end that
-// hash-partitions keys across shards (see Partitioner) advances N simulated
-// devices concurrently on N host cores, like parallel NVMe queue pairs
-// feeding independent controllers.
+// driver.Driver — behind one mutex. Every operation runs on the caller's
+// goroutine while holding that mutex: no worker hop, no call frame, one lock.
 //
-// Each shard stays exactly as deterministic as a single stack: given the
-// key partition, every shard sees the same command sequence regardless of
-// host scheduling, because all device access happens on the shard's worker
-// goroutine in submission order.
+// A Group hash-partitions keys across shards (see Partitioner). A batch that
+// spans several shards runs its last lane on the caller and hands the other
+// lanes to persistent per-shard helper goroutines, so N simulated devices
+// advance concurrently on N host cores, like parallel NVMe queue pairs
+// feeding independent controllers. A one-shard Group starts no goroutine.
 //
-// Operations cross to the worker through one reusable typed call frame per
-// shard (guarded by a submit mutex) rather than per-op closures, so the
-// steady-state request path allocates nothing.
+// Each shard stays exactly as deterministic as a single stack: given the key
+// partition, every shard sees the same command sequence regardless of host
+// scheduling, because its mutex admits one operation at a time in
+// submission order.
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -31,6 +32,9 @@ import (
 	"bandslim/internal/sim"
 	"bandslim/internal/trace"
 )
+
+// ErrClosed is returned by operations on a closed shard.
+var ErrClosed = errors.New("bandslim: DB is closed")
 
 // Options assemble one stack. The caller normalizes defaults (device
 // geometry, thresholds) before construction so every stack built from the
@@ -57,9 +61,8 @@ type Options struct {
 	Retry driver.RetryPolicy
 }
 
-// Stack is one full simulated host+device pair: the components bandslim.DB
-// wires together, shared here so the single-DB and sharded front-ends build
-// byte-identical stacks.
+// Stack is one full simulated host+device pair: the components every shard
+// wires together identically.
 type Stack struct {
 	Clock *sim.Clock
 	Link  *pcie.Link
@@ -107,405 +110,133 @@ func NewStack(o Options) (*Stack, error) {
 // DefaultBatchOps is the record cap of the per-shard batcher behind PutBatch.
 const DefaultBatchOps = 128
 
-// opKind discriminates the typed call frame.
-type opKind int
+// jobKind discriminates the batch lane a shard runs for a Group.
+type jobKind int
 
 const (
-	opFn opKind = iota
-	opPut
-	opGet
-	opGetInto
-	opDelete
-	opFlush
-	opSeek
-	opNext
-	opPutBatch
-	opGetBatch
-	opGetBatchSparse
-	opGetTime
+	jobPut jobKind = iota
+	jobGet
+	jobGetSparse
+	jobFlush
+	jobRecover
 )
 
-// call is the reusable request frame a shard's submitters fill in and its
-// worker executes. One frame per shard suffices: ops serialize on the worker
-// anyway, and the submit mutex serializes the fill-in.
-type call struct {
-	kind opKind
-	fn   func()
-
-	key, value []byte   // scalar inputs; value doubles as the GetInto dst
-	keys, vals [][]byte // batch inputs; vals holds GetBatch dst lanes
-	lane       []int    // batch indices this shard owns (nil = all)
+// job is one shard's part of a Group operation. Each shard has one reusable
+// job; the Group fills it in while holding the shard's mutex.
+type job struct {
+	kind       jobKind
+	keys, vals [][]byte // vals holds PutBatch values or GetBatch dst lanes
 	miss       []bool   // sparse-batch not-found flags, parallel to keys
-
-	rkey, rvalue []byte // scalar outputs (views or grown dst)
-	n            int    // batch record count
-	t            sim.Time
-	err          error
-
-	done chan struct{} // buffered (cap 1); signaled by the worker per call
+	lane       []int    // indices into keys this shard owns
+	err        error
 }
 
-// reset drops input/output references so the frame does not retain caller
-// memory between ops.
-func (c *call) reset() {
-	c.fn = nil
-	c.key, c.value = nil, nil
-	c.keys, c.vals, c.lane = nil, nil, nil
-	c.miss = nil
-	c.rkey, c.rvalue = nil, nil
-	c.err = nil
-	c.n = 0
-}
-
-// Shard is one stack plus the worker goroutine that owns it. All simulation
-// state is touched only from the worker, so shards need no internal locking
-// and different shards run truly in parallel.
+// Shard is one stack behind one mutex. Operations run on the caller's
+// goroutine; different shards run truly in parallel.
 type Shard struct {
 	id      int
 	stack   *Stack
 	afterOp func()
-	reqs    chan *call
-	done    chan struct{}
-	stop    sync.Once
 
-	// mu serializes submitters onto the single call frame; it is held from
-	// fill-in until the worker's completion signal has been consumed (for
-	// async batch fan-out, Pending.Wait releases it).
-	mu   sync.Mutex
-	call call
-	// batch is the worker-owned batcher behind PutBatch, created lazily on
-	// the worker goroutine.
+	// mu serializes every access to the stack and guards every field below.
+	mu     sync.Mutex
+	closed bool
+	// batch is the batcher behind PutBatch, created lazily.
 	batch *driver.Batcher
 	// winH/winI are the windowed batch-read FIFO scratch (StartGet handles
-	// and their key indices), worker-owned and reused across batches.
+	// and their key indices), reused across batches.
 	winH, winI []int
+
+	// job is the lane this shard's helper runs next. start hands it over
+	// and done (capacity 1) reports it finished; both are nil when the
+	// shard has no helper.
+	job         job
+	start, done chan struct{}
 }
 
-// New builds a shard and starts its worker. Callers must Close it to stop
-// the goroutine.
+// New builds a shard. It starts no goroutine; Close marks it closed.
 func New(id int, o Options) (*Shard, error) {
 	st, err := NewStack(o)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	s := &Shard{id: id, stack: st, reqs: make(chan *call), done: make(chan struct{})}
-	s.call.done = make(chan struct{}, 1)
-	go s.loop()
-	return s, nil
-}
-
-func (s *Shard) loop() {
-	for c := range s.reqs {
-		s.run(c)
-		c.done <- struct{}{}
-	}
-	close(s.done)
-}
-
-// run executes one call frame on the worker goroutine.
-func (s *Shard) run(c *call) {
-	drv := s.stack.Drv
-	switch c.kind {
-	case opFn:
-		c.fn()
-		return
-	case opPut:
-		c.err = drv.Put(c.key, c.value)
-	case opGet:
-		c.rvalue, c.err = drv.Get(c.key)
-	case opGetInto:
-		// Copy the driver's view into the caller-owned dst here on the
-		// worker, before completion is signaled — race-free under
-		// concurrent shard use.
-		var v []byte
-		v, c.err = drv.Get(c.key)
-		if c.err == nil {
-			c.rvalue = append(c.value[:0], v...)
-		}
-	case opDelete:
-		c.err = drv.Delete(c.key)
-	case opFlush:
-		c.err = drv.Flush()
-	case opSeek:
-		c.err = drv.Seek(c.key)
-	case opNext:
-		c.rkey, c.rvalue, c.err = drv.Next()
-	case opPutBatch:
-		// Batch runners fire the after-op hook themselves (per batch / per
-		// record).
-		c.n, c.err = s.runPutBatch(c.keys, c.vals, c.lane)
-		return
-	case opGetBatch:
-		c.n, c.err = s.runGetBatch(c.keys, c.vals, c.lane)
-		return
-	case opGetBatchSparse:
-		c.n, c.err = s.runGetBatchSparse(c.keys, c.vals, c.miss, c.lane)
-		return
-	case opGetTime:
-		c.t = s.stack.Clock.Now()
-		return
-	}
-	s.opDone()
-}
-
-// runPutBatch feeds this shard's lane of records through the worker-owned
-// batcher and flushes, so every record is durable on return.
-func (s *Shard) runPutBatch(keys, values [][]byte, lane []int) (int, error) {
-	if s.batch == nil {
-		b, err := s.stack.Drv.NewBatcher(DefaultBatchOps)
-		if err != nil {
-			return 0, err
-		}
-		s.batch = b
-	}
-	n := 0
-	put := func(i int) error {
-		if err := s.batch.Put(keys[i], values[i]); err != nil {
-			return err
-		}
-		n++
-		return nil
-	}
-	if lane == nil {
-		for i := range keys {
-			if err := put(i); err != nil {
-				return n, err
-			}
-		}
-	} else {
-		for _, i := range lane {
-			if err := put(i); err != nil {
-				return n, err
-			}
-		}
-	}
-	if err := s.batch.Flush(); err != nil {
-		return n, err
-	}
-	s.opDone()
-	return n, nil
-}
-
-// runGetBatch resolves this shard's lane of keys, copying each value into the
-// caller's dst lane (vals[i], grown as needed) on the worker goroutine. With
-// an asynchronous submission window configured the lane rides it — up to
-// WindowDepth reads in flight at once; otherwise reads stay serial.
-func (s *Shard) runGetBatch(keys, vals [][]byte, lane []int) (int, error) {
-	if s.stack.Drv.WindowDepth() >= 2 {
-		return s.runGetBatchWindowed(keys, vals, nil, lane)
-	}
-	n := 0
-	get := func(i int) error {
-		v, err := s.stack.Drv.Get(keys[i])
-		if err != nil {
-			return err
-		}
-		vals[i] = append(vals[i][:0], v...)
-		n++
-		s.opDone()
-		return nil
-	}
-	if lane == nil {
-		for i := range keys {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	} else {
-		for _, i := range lane {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// runGetBatchWindowed pumps the lane through the driver's asynchronous
-// submission window: keep up to WindowDepth reads in flight, wait for the
-// oldest before starting the next, then drain in submission order. Results
-// land in the caller's lanes exactly as the serial path places them; a nil
-// miss makes any error fatal (GetBatch), a non-nil miss absorbs not-found
-// completions (GetBatchSparse). Written closure-free so the steady-state
-// batch-read path stays allocation-free.
-func (s *Shard) runGetBatchWindowed(keys, vals [][]byte, miss []bool, lane []int) (int, error) {
-	drv := s.stack.Drv
-	depth := drv.WindowDepth()
-	s.winH, s.winI = s.winH[:0], s.winI[:0]
-	total := len(keys)
-	if lane != nil {
-		total = len(lane)
-	}
-	head, next, n := 0, 0, 0
-	for {
-		// Reap the oldest in-flight read while the window is full, or once
-		// every key has been submitted.
-		for head < len(s.winH) && (len(s.winH)-head >= depth || next == total) {
-			h, i := s.winH[head], s.winI[head]
-			head++
-			v, err := drv.WaitGetInto(h, vals[i])
-			if err != nil {
-				if miss != nil {
-					if st, ok := nvme.StatusOf(err); ok && st == nvme.StatusKeyNotFound {
-						miss[i] = true
-						vals[i] = vals[i][:0]
-						n++
-						s.opDone()
-						continue
-					}
-				}
-				drv.DrainWindow()
-				return n, err
-			}
-			if miss != nil {
-				miss[i] = false
-			}
-			vals[i] = v
-			n++
-			s.opDone()
-		}
-		if next == total {
-			return n, nil
-		}
-		i := next
-		if lane != nil {
-			i = lane[next]
-		}
-		// A known-missing key resolves host-side: no command is built and no
-		// simulated time passes, exactly as Driver.Get short-circuits the
-		// serial path.
-		if drv.NegativeKnown(keys[i]) {
-			if miss == nil {
-				drv.DrainWindow()
-				return n, driver.ErrNegativeHit
-			}
-			miss[i] = true
-			vals[i] = vals[i][:0]
-			n++
-			next++
-			s.opDone()
-			continue
-		}
-		h, err := drv.StartGet(keys[i])
-		if err != nil {
-			drv.DrainWindow()
-			return n, err
-		}
-		s.winH = append(s.winH, h)
-		s.winI = append(s.winI, i)
-		next++
-	}
-}
-
-// runGetBatchSparse resolves this shard's lane of keys like runGetBatch, but
-// tolerates absent keys: a key-not-found completion sets miss[i] and empties
-// the dst lane instead of failing the batch — the semantics a serving
-// front-end needs for MGET and coalesced GET runs, where a miss is an answer
-// ("no such key"), not an error.
-func (s *Shard) runGetBatchSparse(keys, vals [][]byte, miss []bool, lane []int) (int, error) {
-	if s.stack.Drv.WindowDepth() >= 2 {
-		return s.runGetBatchWindowed(keys, vals, miss, lane)
-	}
-	n := 0
-	get := func(i int) error {
-		v, err := s.stack.Drv.Get(keys[i])
-		if err != nil {
-			if st, ok := nvme.StatusOf(err); ok && st == nvme.StatusKeyNotFound {
-				miss[i] = true
-				vals[i] = vals[i][:0]
-				n++
-				s.opDone()
-				return nil
-			}
-			return err
-		}
-		miss[i] = false
-		vals[i] = append(vals[i][:0], v...)
-		n++
-		s.opDone()
-		return nil
-	}
-	if lane == nil {
-		for i := range keys {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	} else {
-		for _, i := range lane {
-			if err := get(i); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
+	return &Shard{id: id, stack: st}, nil
 }
 
 // ID reports the shard's index.
 func (s *Shard) ID() int { return s.id }
 
 // Stack exposes the shard's simulation components. Touch them only inside
-// Do (or after Close, when the worker has exited).
+// Do or Exec, which hold the shard mutex.
 func (s *Shard) Stack() *Stack { return s.stack }
 
-// SetAfterOp installs a hook the worker runs after every driver operation
-// (Put/Get/Delete/Flush/Seek/Next) — the sampling point for simulated-time
-// metrics. Install it before the first operation; the hook executes on the
-// worker goroutine, so it may touch the Stack freely.
+// SetAfterOp installs a hook run after every driver operation
+// (Put/Get/Delete/Flush/Seek/Next, each batch record, CompactVLog) — the
+// sampling point for simulated-time metrics. Install it before the first
+// operation; the hook runs under the shard mutex, so it may touch the Stack
+// freely.
 func (s *Shard) SetAfterOp(fn func()) { s.afterOp = fn }
 
-// opDone fires the after-op hook; called on the worker goroutine.
+// opDone fires the after-op hook; callers hold s.mu.
 func (s *Shard) opDone() {
 	if s.afterOp != nil {
 		s.afterOp()
 	}
 }
 
-// finish hands the filled-in frame to the worker and waits. Callers must
-// hold s.mu and have set every input field; finish consumes the completion,
-// resets the frame's references, and releases the mutex.
-func (s *Shard) finish() (rkey, rvalue []byte, n int, err error) {
-	c := &s.call
-	s.reqs <- c
-	<-c.done
-	rkey, rvalue, n, err = c.rkey, c.rvalue, c.n, c.err
-	c.reset()
+// Close marks the shard closed and stops its helper, if any. Later
+// operations fail with ErrClosed; Do keeps working. Idempotent.
+func (s *Shard) Close() {
+	s.mu.Lock()
+	s.shutdown()
 	s.mu.Unlock()
-	return rkey, rvalue, n, err
 }
 
-// Do runs fn on the shard's worker goroutine and waits for it to finish.
-// Calling Do on a closed shard panics; front-ends gate on their own closed
-// state first.
+// shutdown marks the shard closed and stops its helper; callers hold s.mu,
+// so the helper is idle.
+func (s *Shard) shutdown() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.start != nil {
+		close(s.start)
+		for range s.done {
+		}
+	}
+}
+
+// Do runs fn under the shard mutex, closed or not — the snapshot path for
+// stats and exporters, which stay readable after Close.
 func (s *Shard) Do(fn func()) {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opFn
-	c.fn = fn
-	s.finish()
+	fn()
+	s.mu.Unlock()
 }
 
-// Recover mounts this shard's device after a power cut, replaying the
-// battery-backed journal on the worker goroutine.
-func (s *Shard) Recover() error {
-	var err error
-	s.Do(func() { err = s.stack.Drv.Recover() })
+// Exec runs fn under the shard mutex, failing with ErrClosed once the shard
+// is closed.
+func (s *Shard) Exec(fn func(st *Stack) error) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	err := fn(s.stack)
+	s.mu.Unlock()
 	return err
-}
-
-// Close stops the worker goroutine and waits for it to exit. Idempotent.
-func (s *Shard) Close() {
-	s.stop.Do(func() { close(s.reqs) })
-	<-s.done
 }
 
 // Put stores a key-value pair on this shard.
 func (s *Shard) Put(key, value []byte) error {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opPut
-	c.key, c.value = key, value
-	_, _, _, err := s.finish()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	err := s.stack.Drv.Put(key, value)
+	s.opDone()
+	s.mu.Unlock()
 	return err
 }
 
@@ -515,143 +246,267 @@ func (s *Shard) Put(key, value []byte) error {
 // must use GetInto instead.
 func (s *Shard) Get(key []byte) ([]byte, error) {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opGet
-	c.key = key
-	_, v, _, err := s.finish()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrClosed
+	}
+	v, err := s.stack.Drv.Get(key)
+	s.opDone()
+	s.mu.Unlock()
 	return v, err
 }
 
 // GetInto fetches the value for key, copying it into dst (grown as needed)
-// before the op completes. The returned slice is caller-owned and safe under
-// concurrent shard use.
+// before the shard mutex is released. The returned slice is caller-owned and
+// safe under concurrent shard use.
 func (s *Shard) GetInto(key, dst []byte) ([]byte, error) {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetInto
-	c.key, c.value = key, dst
-	_, v, _, err := s.finish()
-	return v, err
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrClosed
+	}
+	v, err := s.stack.Drv.Get(key)
+	if err == nil {
+		dst = append(dst[:0], v...)
+	} else {
+		dst = nil
+	}
+	s.opDone()
+	s.mu.Unlock()
+	return dst, err
 }
 
 // Delete removes a key from this shard.
 func (s *Shard) Delete(key []byte) error {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opDelete
-	c.key = key
-	_, _, _, err := s.finish()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	err := s.stack.Drv.Delete(key)
+	s.opDone()
+	s.mu.Unlock()
 	return err
 }
 
 // Flush forces this shard's buffered values and index entries to NAND.
 func (s *Shard) Flush() error {
 	s.mu.Lock()
-	s.call.kind = opFlush
-	_, _, _, err := s.finish()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	err := s.stack.Drv.Flush()
+	s.opDone()
+	s.mu.Unlock()
 	return err
 }
 
 // Seek positions this shard's device-side iterator at the first key >= start.
 func (s *Shard) Seek(start []byte) error {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opSeek
-	c.key = start
-	_, _, _, err := s.finish()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	err := s.stack.Drv.Seek(start)
+	s.opDone()
+	s.mu.Unlock()
 	return err
 }
 
-// Next returns the shard iterator's current pair and advances it;
-// driver.ErrIterDone signals exhaustion. Like Get, the returned slices are
-// views valid until the shard's next operation.
-func (s *Shard) Next() (key, value []byte, err error) {
+// Next copies the shard iterator's current pair into key and value (grown
+// as needed) and advances it; driver.ErrIterDone signals exhaustion. The
+// copy happens under the shard mutex, so the returned slices are
+// caller-owned even while other goroutines use the shard.
+func (s *Shard) Next(key, value []byte) ([]byte, []byte, error) {
 	s.mu.Lock()
-	s.call.kind = opNext
-	key, value, _, err = s.finish()
+	if s.closed {
+		s.mu.Unlock()
+		return key, value, ErrClosed
+	}
+	k, v, err := s.stack.Drv.Next()
+	if err == nil {
+		key = append(key[:0], k...)
+		value = append(value[:0], v...)
+	}
+	s.opDone()
+	s.mu.Unlock()
 	return key, value, err
-}
-
-// PutBatch writes the lane-indexed subset of keys/values (nil lane = all)
-// through the shard's batcher as bulk OpKVBatchWrite commands and flushes, so
-// every accepted record is durable on return. It reports how many records
-// were written.
-func (s *Shard) PutBatch(keys, values [][]byte, lane []int) (int, error) {
-	return s.StartPutBatch(keys, values, lane).Wait()
-}
-
-// GetBatch resolves the lane-indexed subset of keys (nil lane = all), copying
-// each value into the matching vals lane (vals[i], grown as needed). It
-// reports how many lanes were filled; on error, lanes beyond the failing key
-// are left untouched.
-func (s *Shard) GetBatch(keys, vals [][]byte, lane []int) (int, error) {
-	return s.StartGetBatch(keys, vals, lane).Wait()
-}
-
-// Pending is an in-flight batch handed to the shard worker; exactly one Wait
-// call must follow each Start.
-type Pending struct{ s *Shard }
-
-// StartPutBatch enqueues a PutBatch without waiting, so a front-end can fan
-// one logical batch out across shards and overlap their simulated work.
-func (s *Shard) StartPutBatch(keys, values [][]byte, lane []int) Pending {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opPutBatch
-	c.keys, c.vals, c.lane = keys, values, lane
-	s.reqs <- c
-	return Pending{s: s}
-}
-
-// StartGetBatch enqueues a GetBatch without waiting; see StartPutBatch.
-func (s *Shard) StartGetBatch(keys, vals [][]byte, lane []int) Pending {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetBatch
-	c.keys, c.vals, c.lane = keys, vals, lane
-	s.reqs <- c
-	return Pending{s: s}
-}
-
-// GetBatchSparse resolves the lane-indexed subset of keys like GetBatch, but
-// an absent key sets miss[i] (and empties vals[i]) instead of failing the
-// batch. It reports how many lanes were resolved (hits plus misses).
-func (s *Shard) GetBatchSparse(keys, vals [][]byte, miss []bool, lane []int) (int, error) {
-	return s.StartGetBatchSparse(keys, vals, miss, lane).Wait()
-}
-
-// StartGetBatchSparse enqueues a GetBatchSparse without waiting; see
-// StartPutBatch.
-func (s *Shard) StartGetBatchSparse(keys, vals [][]byte, miss []bool, lane []int) Pending {
-	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetBatchSparse
-	c.keys, c.vals, c.lane = keys, vals, lane
-	c.miss = miss
-	s.reqs <- c
-	return Pending{s: s}
-}
-
-// Wait blocks until the batch completes and releases the shard for the next
-// submitter.
-func (p Pending) Wait() (int, error) {
-	c := &p.s.call
-	<-c.done
-	n, err := c.n, c.err
-	c.reset()
-	p.s.mu.Unlock()
-	return n, err
 }
 
 // Now reports the shard's simulated time.
 func (s *Shard) Now() sim.Time {
 	s.mu.Lock()
-	c := &s.call
-	c.kind = opGetTime
-	s.reqs <- c
-	<-c.done
-	t := c.t
-	c.reset()
+	t := s.stack.Clock.Now()
 	s.mu.Unlock()
 	return t
+}
+
+// Tune applies a runtime retuning to this shard's driver.
+func (s *Shard) Tune(t driver.Tuning) error {
+	return s.Exec(func(st *Stack) error { return st.Drv.Tune(t) })
+}
+
+// CompactVLog garbage-collects the oldest pages value-log pages and reports
+// how many values were relocated.
+func (s *Shard) CompactVLog(pages int) (int, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, ErrClosed
+	}
+	n, err := s.stack.Drv.CompactVLog(pages)
+	s.opDone()
+	s.mu.Unlock()
+	return n, err
+}
+
+// runJob executes s.job; callers hold s.mu (a helper runs it on behalf of
+// the Group that locked the shard).
+func (s *Shard) runJob() error {
+	j := &s.job
+	switch j.kind {
+	case jobPut:
+		return s.putBatch(j.keys, j.vals, j.lane)
+	case jobGet:
+		return s.getBatch(j.keys, j.vals, nil, j.lane)
+	case jobGetSparse:
+		return s.getBatch(j.keys, j.vals, j.miss, j.lane)
+	case jobFlush:
+		err := s.stack.Drv.Flush()
+		s.opDone()
+		return err
+	case jobRecover:
+		return s.stack.Drv.Recover()
+	}
+	return fmt.Errorf("shard %d: unknown job kind %d", s.id, j.kind)
+}
+
+// help is the helper goroutine's loop: run each handed-over job and report
+// it done, until Close closes start.
+func (s *Shard) help() {
+	for range s.start {
+		s.job.err = s.runJob()
+		s.done <- struct{}{}
+	}
+	close(s.done)
+}
+
+// putBatch feeds the lane's records through the shard's batcher and
+// flushes, so every record is durable on return.
+func (s *Shard) putBatch(keys, values [][]byte, lane []int) error {
+	if s.batch == nil {
+		b, err := s.stack.Drv.NewBatcher(DefaultBatchOps)
+		if err != nil {
+			return err
+		}
+		s.batch = b
+	}
+	for _, i := range lane {
+		if err := s.batch.Put(keys[i], values[i]); err != nil {
+			return err
+		}
+	}
+	if err := s.batch.Flush(); err != nil {
+		return err
+	}
+	s.opDone()
+	return nil
+}
+
+// getBatch resolves the lane's keys, copying each value into the caller's
+// dst lane (vals[i], grown as needed). A nil miss makes any error fatal
+// (GetBatch); a non-nil miss turns a not-found completion into miss[i] and
+// an empty lane (GetBatchSparse). With an asynchronous submission window
+// configured the lane rides it; otherwise reads stay serial.
+func (s *Shard) getBatch(keys, vals [][]byte, miss []bool, lane []int) error {
+	drv := s.stack.Drv
+	if drv.WindowDepth() >= 2 {
+		return s.getBatchWindowed(keys, vals, miss, lane)
+	}
+	for _, i := range lane {
+		v, err := drv.Get(keys[i])
+		if err != nil {
+			if miss == nil || !isNotFound(err) {
+				return err
+			}
+			miss[i] = true
+			vals[i] = vals[i][:0]
+		} else {
+			if miss != nil {
+				miss[i] = false
+			}
+			vals[i] = append(vals[i][:0], v...)
+		}
+		s.opDone()
+	}
+	return nil
+}
+
+func isNotFound(err error) bool {
+	st, ok := nvme.StatusOf(err)
+	return ok && st == nvme.StatusKeyNotFound
+}
+
+// getBatchWindowed pumps the lane through the driver's asynchronous
+// submission window: keep up to WindowDepth reads in flight, wait for the
+// oldest before starting the next, then drain in submission order. Results
+// land in the caller's lanes exactly as the serial path places them. Written
+// closure-free so the steady-state batch-read path stays allocation-free.
+func (s *Shard) getBatchWindowed(keys, vals [][]byte, miss []bool, lane []int) error {
+	drv := s.stack.Drv
+	depth := drv.WindowDepth()
+	s.winH, s.winI = s.winH[:0], s.winI[:0]
+	head, next := 0, 0
+	for {
+		// Reap the oldest in-flight read while the window is full, or once
+		// every key has been submitted.
+		for head < len(s.winH) && (len(s.winH)-head >= depth || next == len(lane)) {
+			h, i := s.winH[head], s.winI[head]
+			head++
+			v, err := drv.WaitGetInto(h, vals[i])
+			if err != nil {
+				if miss != nil && isNotFound(err) {
+					miss[i] = true
+					vals[i] = vals[i][:0]
+					s.opDone()
+					continue
+				}
+				drv.DrainWindow()
+				return err
+			}
+			if miss != nil {
+				miss[i] = false
+			}
+			vals[i] = v
+			s.opDone()
+		}
+		if next == len(lane) {
+			return nil
+		}
+		i := lane[next]
+		// A known-missing key resolves host-side: no command is built and no
+		// simulated time passes, exactly as Driver.Get short-circuits the
+		// serial path.
+		if drv.NegativeKnown(keys[i]) {
+			if miss == nil {
+				drv.DrainWindow()
+				return driver.ErrNegativeHit
+			}
+			miss[i] = true
+			vals[i] = vals[i][:0]
+			next++
+			s.opDone()
+			continue
+		}
+		h, err := drv.StartGet(keys[i])
+		if err != nil {
+			drv.DrainWindow()
+			return err
+		}
+		s.winH = append(s.winH, h)
+		s.winI = append(s.winI, i)
+		next++
+	}
 }

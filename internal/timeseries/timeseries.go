@@ -142,8 +142,8 @@ func histAt(sm Sample, key HistKey) *metrics.Histogram {
 }
 
 // Sampler polls a snapshot source whenever the simulated clock crosses a
-// boundary of its interval. It is not internally synchronized: DB serializes
-// polls under its mutex, and each shard polls only on its worker goroutine.
+// boundary of its interval. It is not internally synchronized: each shard
+// polls its own sampler under the shard mutex.
 type Sampler struct {
 	interval sim.Duration
 	source   func() Snapshot

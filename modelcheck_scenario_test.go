@@ -4,7 +4,7 @@ package bandslim_test
 // all-kinds "mixed" stream) drive the same differential harness as the
 // random sequences in modelcheck_test.go — every op the generator emits is
 // mirrored into the reference model, under rotating submission depths, cache
-// configurations, and seed-derived fault plans, on both stack flavors. This
+// configurations, and seed-derived fault plans, at 1, 2, and 4 shards. This
 // proves the scenario suite composes with the whole fault/recovery surface,
 // and conversely that the generators only emit executable streams.
 //
@@ -52,20 +52,9 @@ func scenarioKeyNum(key []byte) (int, bool) {
 
 // mcScanScenario checks a scenario-driven scan against the model, the
 // y-keyspace analog of mcScan.
-func mcScanScenario(t *testing.T, db mcRecoverable, model *mcModel, start []byte, limit int, faulty bool) {
+func mcScanScenario(t *testing.T, db *bandslim.DB, model *mcModel, start []byte, limit int, faulty bool) {
 	t.Helper()
-	var (
-		it  mcIter
-		err error
-	)
-	switch d := db.(type) {
-	case *bandslim.DB:
-		it, err = d.NewIterator(start)
-	case *bandslim.ShardedDB:
-		it, err = d.NewIterator(start)
-	default:
-		t.Fatalf("mcScanScenario: unknown db type %T", db)
-	}
+	it, err := db.NewIterator(start)
 	if err != nil {
 		if bandslim.IsPowerLoss(err) {
 			mcRecover(t, db)
@@ -96,7 +85,7 @@ func mcScanScenario(t *testing.T, db mcRecoverable, model *mcModel, start []byte
 
 // runScenarioModelSequence drives one scenario stream through db and the
 // reference model, then verifies the whole keyspace.
-func runScenarioModelSequence(t *testing.T, db mcRecoverable, name string, seed uint64, faulty bool) {
+func runScenarioModelSequence(t *testing.T, db *bandslim.DB, name string, seed uint64, faulty bool) {
 	t.Helper()
 	s, err := workload.NewScenario(name, scenarioModelConfig(seed))
 	if err != nil {
@@ -177,9 +166,10 @@ func runScenarioModelSequence(t *testing.T, db mcRecoverable, name string, seed 
 	}
 }
 
-// scenarioSeeds is how many seeds each (scenario, flavor) pair runs; odd
-// seeds get a seed-derived fault plan, and the mcSubmission/mcCache rotations
-// walk the queue-depth and cache configurations across the seed range.
+// scenarioSeeds is how many seeds each (scenario, shard count) pair runs;
+// odd seeds get a seed-derived fault plan, and the mcSubmission/mcCache
+// rotations walk the queue-depth and cache configurations across the seed
+// range.
 func scenarioSeeds() uint64 {
 	if testing.Short() {
 		return 2
@@ -188,49 +178,39 @@ func scenarioSeeds() uint64 {
 }
 
 // TestModelCheckScenariosDB differentially checks every scenario against
-// single-device stacks.
+// one-shard stacks.
 func TestModelCheckScenariosDB(t *testing.T) {
-	for _, name := range workload.ScenarioNames() {
-		for seed := uint64(1); seed <= scenarioSeeds(); seed++ {
-			faulty := seed%2 == 1
-			var plan *bandslim.FaultPlan
-			if faulty {
-				plan = mcPlan(seed ^ 0x5CE7A1)
-			}
-			cfg := tinyFaultConfig(plan)
-			cfg.Submission = mcSubmission(seed)
-			cfg.Cache = mcCache(seed)
-			db, err := bandslim.Open(cfg)
-			if err != nil {
-				t.Fatalf("%s seed %d: open: %v", name, seed, err)
-			}
-			runScenarioModelSequence(t, db, name, seed, faulty)
-			if err := db.Close(); err != nil && !bandslim.IsPowerLoss(err) {
-				t.Fatalf("%s seed %d: close: %v", name, seed, err)
-			}
-		}
-	}
+	modelCheckScenarios(t, 1, scenarioSeeds(), 0x5CE7A1)
 }
 
-// TestModelCheckScenariosSharded runs the same matrix against 2-shard stacks.
+// TestModelCheckScenariosSharded runs the same matrix against 2-shard
+// stacks, and a shorter one against 4-shard stacks.
 func TestModelCheckScenariosSharded(t *testing.T) {
+	modelCheckScenarios(t, 2, scenarioSeeds(), 0xB1A5E)
+	modelCheckScenarios(t, 4, (scenarioSeeds()+1)/2, 0xB1A5E)
+}
+
+// modelCheckScenarios runs seeds seeds of every scenario against DBs of the
+// given shard count; odd seeds run under mcPlan(seed ^ planSalt).
+func modelCheckScenarios(t *testing.T, shards int, seeds, planSalt uint64) {
+	t.Helper()
 	for _, name := range workload.ScenarioNames() {
-		for seed := uint64(1); seed <= scenarioSeeds(); seed++ {
+		for seed := uint64(1); seed <= seeds; seed++ {
 			faulty := seed%2 == 1
 			var plan *bandslim.FaultPlan
 			if faulty {
-				plan = mcPlan(seed ^ 0xB1A5E)
+				plan = mcPlan(seed ^ planSalt)
 			}
 			per := tinyFaultConfig(plan)
 			per.Submission = mcSubmission(seed)
 			per.Cache = mcCache(seed)
-			db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: 2, PerShard: per})
+			db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
 			if err != nil {
-				t.Fatalf("%s seed %d: open: %v", name, seed, err)
+				t.Fatalf("%s shards=%d seed %d: open: %v", name, shards, seed, err)
 			}
 			runScenarioModelSequence(t, db, name, seed, faulty)
 			if err := db.Close(); err != nil && !bandslim.IsPowerLoss(err) {
-				t.Fatalf("%s seed %d: close: %v", name, seed, err)
+				t.Fatalf("%s shards=%d seed %d: close: %v", name, shards, seed, err)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package bandslim_test
 
 // Model-based differential test harness for the fault-injection and
-// crash-recovery subsystem. Each sequence drives a DB (or ShardedDB) and an
-// in-memory reference model through the same seeded random operation stream —
+// crash-recovery subsystem. Each sequence drives a DB of 1, 2, or 4 shards
+// and an in-memory reference model through the same seeded random operation stream —
 // with and without a generated fault plan — and checks the two agree:
 //
 //   - An acknowledged write is never lost: once Put/PutBatch returns nil, the
@@ -25,28 +25,6 @@ import (
 
 // mcOps is the operation count per model-check sequence.
 const mcOps = 40
-
-// mcKV is the driver-facing surface the harness exercises; DB and ShardedDB
-// both satisfy it (plus Recover, asserted below).
-type mcKV interface {
-	Put(key, value []byte) error
-	GetInto(key, dst []byte) ([]byte, error)
-	PutBatch(keys, values [][]byte) error
-	GetBatchSparse(keys, vals [][]byte, miss []bool) ([][]byte, error)
-	Delete(key []byte) error
-	Flush() error
-	Close() error
-}
-
-type mcRecoverable interface {
-	mcKV
-	Recover() error
-}
-
-var (
-	_ mcRecoverable = (*bandslim.DB)(nil)
-	_ mcRecoverable = (*bandslim.ShardedDB)(nil)
-)
 
 // mcModel is the reference state machine. sure maps keys to the exact value
 // an acknowledged operation left behind (nil = acknowledged absent, i.e. an
@@ -212,33 +190,13 @@ func mcPlan(seed uint64) *bandslim.FaultPlan {
 	return p
 }
 
-// mcIter is the common surface of bandslim.Iterator and ShardedIterator.
-type mcIter interface {
-	Valid() bool
-	Key() []byte
-	Value() []byte
-	Err() error
-	Next()
-}
-
 // mcScan opens an iterator and checks every scanned pair within the model's
 // keyspace: a returned value must be one the model allows, and a key the
 // model holds certainly-absent must not appear. Iteration errors under an
 // active fault plan abandon the scan (the snapshot died with the fault).
-func mcScan(t *testing.T, db mcRecoverable, model *mcModel, start string, faulty bool) {
+func mcScan(t *testing.T, db *bandslim.DB, model *mcModel, start string, faulty bool) {
 	t.Helper()
-	var (
-		it  mcIter
-		err error
-	)
-	switch d := db.(type) {
-	case *bandslim.DB:
-		it, err = d.NewIterator([]byte(start))
-	case *bandslim.ShardedDB:
-		it, err = d.NewIterator([]byte(start))
-	default:
-		t.Fatalf("mcScan: unknown db type %T", db)
-	}
+	it, err := db.NewIterator([]byte(start))
 	if err != nil {
 		if bandslim.IsPowerLoss(err) {
 			mcRecover(t, db)
@@ -269,7 +227,7 @@ func mcScan(t *testing.T, db mcRecoverable, model *mcModel, start string, faulty
 
 // mcRecover brings the stack back after a power-loss completion. A plan can
 // cut power again during replay, so recovery itself may need a few attempts.
-func mcRecover(t *testing.T, db mcRecoverable) {
+func mcRecover(t *testing.T, db *bandslim.DB) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		err := db.Recover()
@@ -284,7 +242,7 @@ func mcRecover(t *testing.T, db mcRecoverable) {
 
 // mcGet reads a key, recovering across power cuts and tolerating one-shot
 // injected media read faults. Returns nil for an absent key.
-func mcGet(t *testing.T, db mcRecoverable, key string, scratch []byte) ([]byte, []byte) {
+func mcGet(t *testing.T, db *bandslim.DB, key string, scratch []byte) ([]byte, []byte) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		v, err := db.GetInto([]byte(key), scratch[:0])
@@ -308,7 +266,7 @@ func mcGet(t *testing.T, db mcRecoverable, key string, scratch []byte) ([]byte, 
 
 // runModelSequence drives one seeded sequence against db and the model, then
 // verifies every key.
-func runModelSequence(t *testing.T, db mcRecoverable, seed uint64, faulty bool) {
+func runModelSequence(t *testing.T, db *bandslim.DB, seed uint64, faulty bool) {
 	t.Helper()
 	model := newMCModel()
 	rng := sim.NewRNG(seed)
@@ -412,58 +370,45 @@ func runModelSequence(t *testing.T, db mcRecoverable, seed uint64, faulty bool) 
 	}
 }
 
-// TestModelCheckDB runs 700 differential sequences against single-device
-// DBs: even seeds fault-free, odd seeds under a seed-derived fault plan.
+// TestModelCheckDB runs 700 differential sequences against one-shard DBs:
+// even seeds fault-free, odd seeds under a seed-derived fault plan.
 func TestModelCheckDB(t *testing.T) {
-	sequences := 700
-	if testing.Short() {
-		sequences = 60
-	}
-	for seed := uint64(1); seed <= uint64(sequences); seed++ {
-		faulty := seed%2 == 1
-		var plan *bandslim.FaultPlan
-		if faulty {
-			plan = mcPlan(seed)
-		}
-		cfg := tinyFaultConfig(plan)
-		cfg.Submission = mcSubmission(seed)
-		cfg.Cache = mcCache(seed)
-		db, err := bandslim.Open(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: open: %v", seed, err)
-		}
-		runModelSequence(t, db, seed, faulty)
-		if err := db.Close(); err != nil && !bandslim.IsPowerLoss(err) {
-			t.Fatalf("seed %d: close: %v", seed, err)
-		}
-	}
+	modelCheckShards(t, 1, 700, 60, 0)
 }
 
-// TestModelCheckSharded runs 350 differential sequences against 2-shard
-// ShardedDBs. Shards derive independent fault streams from the same plan
-// (salted by shard id), so cuts and recoveries interleave across devices.
+// TestModelCheckSharded runs 350 differential sequences against 2-shard DBs
+// and 175 against 4-shard DBs. Shards derive independent fault streams from
+// the same plan (salted by shard id), so cuts and recoveries interleave
+// across devices.
 func TestModelCheckSharded(t *testing.T) {
-	sequences := 350
+	modelCheckShards(t, 2, 350, 30, 0x51A4DED)
+	modelCheckShards(t, 4, 175, 15, 0x51A4DED)
+}
+
+// modelCheckShards runs sequences (short under -short) differential
+// sequences against DBs of the given shard count; odd seeds run under
+// mcPlan(seed ^ planSalt).
+func modelCheckShards(t *testing.T, shards, sequences, short int, planSalt uint64) {
+	t.Helper()
 	if testing.Short() {
-		sequences = 30
+		sequences = short
 	}
 	for seed := uint64(1); seed <= uint64(sequences); seed++ {
 		faulty := seed%2 == 1
 		var plan *bandslim.FaultPlan
 		if faulty {
-			plan = mcPlan(seed ^ 0x51A4DED)
+			plan = mcPlan(seed ^ planSalt)
 		}
 		per := tinyFaultConfig(plan)
 		per.Submission = mcSubmission(seed)
 		per.Cache = mcCache(seed)
-		cfg := bandslim.ShardedConfig{Shards: 2, PerShard: per}
-		db, err := bandslim.OpenSharded(cfg)
+		db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
 		if err != nil {
-			t.Fatalf("seed %d: open: %v", seed, err)
+			t.Fatalf("shards=%d seed %d: open: %v", shards, seed, err)
 		}
 		runModelSequence(t, db, seed, faulty)
 		if err := db.Close(); err != nil && !bandslim.IsPowerLoss(err) {
-			t.Fatalf("seed %d: close: %v", seed, err)
+			t.Fatalf("shards=%d seed %d: close: %v", shards, seed, err)
 		}
 	}
 }

@@ -32,9 +32,10 @@ import (
 	"bandslim/internal/trace"
 )
 
-// Tracer receives command-level events. Implementations must be safe for
-// use from the goroutine running the simulation (ShardedDB shards emit from
-// their worker goroutines, each wrapped to stamp its shard id).
+// Tracer receives command-level events, each stamped with the emitting
+// shard's id. A Tracer shared by several shards receives events from
+// whichever goroutines run their operations, so it must be safe for
+// concurrent use.
 type Tracer = trace.Tracer
 
 // TraceEvent is one traced occurrence: a span (End > Start) such as a DMA
@@ -115,7 +116,7 @@ type BlameStage = spans.Stage
 type BlameCriticalPath = spans.CriticalPath
 
 // AnalyzeTrace reconstructs per-operation latency attribution from an event
-// stream (a recorder's buffer, a merged ShardedDB stream, or a re-read JSONL
+// stream (a recorder's buffer, a merged multi-shard stream, or a re-read JSONL
 // file). Pure and deterministic: the same events yield the same report.
 func AnalyzeTrace(events []TraceEvent) *BlameReport {
 	return spans.Analyze(events)
@@ -139,16 +140,76 @@ func WriteBlameBreakdown(w io.Writer, r *BlameReport, topK int) error {
 	return spans.WriteBreakdown(w, r, topK)
 }
 
-// Blame analyzes the DB's attached ring recorder (Config.Tracer must be a
-// *Recorder) and returns the attribution report, or nil when no recorder is
-// attached. The report covers whatever the ring currently holds; check
-// Lossy() before trusting per-op numbers near the buffer's start.
-func (db *DB) Blame() *BlameReport {
-	rec, ok := db.cfg.Tracer.(*Recorder)
-	if !ok || rec == nil {
+// sharedRecorder returns PerShard.Tracer when it is a ring recorder and no
+// per-shard rings (TraceCapacity) replace it.
+func (db *DB) sharedRecorder() *Recorder {
+	if len(db.recs) > 0 {
 		return nil
 	}
-	return spans.Analyze(rec.TraceEvents())
+	rec, _ := db.cfg.PerShard.Tracer.(*Recorder)
+	return rec
+}
+
+// traceStats sums the health of the DB's trace rings.
+func (db *DB) traceStats() TraceStats {
+	var ts TraceStats
+	for _, rec := range db.recs {
+		ts.Buffered += int64(rec.Len())
+		ts.Dropped += rec.Dropped()
+	}
+	if rec := db.sharedRecorder(); rec != nil {
+		ts = TraceStats{Buffered: int64(rec.Len()), Dropped: rec.Dropped()}
+	}
+	return ts
+}
+
+// TraceEvents merges the per-shard recorders (TraceCapacity > 0) into one
+// stream ordered by simulated start time, with (shard, seq) breaking ties.
+// It returns nil when tracing was not enabled through TraceCapacity.
+func (db *DB) TraceEvents() []TraceEvent {
+	if len(db.recs) == 0 {
+		return nil
+	}
+	streams := make([][]TraceEvent, len(db.recs))
+	for i, rec := range db.recs {
+		streams[i] = rec.Events()
+	}
+	return MergeTraces(streams...)
+}
+
+// TraceDropped reports the total events evicted across the per-shard trace
+// rings (TraceCapacity > 0), or by a shared Tracer recorder. Zero when
+// tracing is off or nothing was evicted.
+func (db *DB) TraceDropped() int64 { return db.traceStats().Dropped }
+
+// ResetTrace discards every buffered trace event (and, per ring, restarts
+// the eviction window) without detaching the recorders. Sequence numbers
+// keep running, so an analyzer sees the reset as a truncation, never as a
+// reused number. Benchmarks use it to scope attribution to a measured phase
+// after an unmeasured fill.
+func (db *DB) ResetTrace() {
+	for _, rec := range db.recs {
+		rec.Reset()
+	}
+	if rec := db.sharedRecorder(); rec != nil {
+		rec.Reset()
+	}
+}
+
+// Blame analyzes the DB's trace rings — the merged per-shard recorders, or a
+// shared Tracer that is a *Recorder — and returns the attribution report, or
+// nil when neither is attached. Per-shard streams are reconstructed
+// independently, so the result is deterministic regardless of shard
+// interleaving. The report covers whatever the rings currently hold; check
+// Lossy() before trusting per-op numbers near the buffer's start.
+func (db *DB) Blame() *BlameReport {
+	if len(db.recs) > 0 {
+		return spans.Analyze(db.TraceEvents())
+	}
+	if rec := db.sharedRecorder(); rec != nil {
+		return spans.Analyze(rec.TraceEvents())
+	}
+	return nil
 }
 
 // MetricSeries is a sampled sequence of metric snapshots on a fixed
@@ -164,43 +225,49 @@ type MetricSample = timeseries.Sample
 // cross-shard aggregation mode, and Prometheus HELP text.
 type MetricDesc = timeseries.Desc
 
-// Series returns the simulated-time metric series recorded so far. It is
-// empty (Len() == 0) unless Config.MetricsInterval was set at Open. The
-// series remains readable after Close and includes the final flush.
+// Series returns the simulated-time metric series recorded so far, merged
+// across shards onto one time axis: counters and sum-gauges add,
+// max-gauges take the max, mean-gauges average, and latency histograms merge
+// bucket-exactly. It is empty (Len() == 0) unless Config.MetricsInterval was
+// set at Open. The series remains readable after Close and includes the
+// final flush.
 func (db *DB) Series() MetricSeries {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.sampler == nil {
+	if len(db.samplers) == 0 {
 		return MetricSeries{}
 	}
-	return db.sampler.Series()
+	parts := make([]timeseries.Series, len(db.samplers))
+	for i, sh := range db.shards {
+		sh.Do(func() { parts[i] = db.samplers[i].Series() })
+	}
+	return timeseries.MergeSeries(parts...)
 }
 
 // WritePrometheus writes the DB's current metric state — every counter,
-// gauge, and full-bucket latency histogram — in the Prometheus text
-// exposition format. It works with or without the sampler, remains usable
-// after Close, and is deterministic: same-seed runs produce byte-identical
-// output.
+// gauge, and full-bucket latency histogram, aggregated across shards — in
+// the Prometheus text exposition format. It works with or without the
+// sampler, is safe while shards are serving (the live /metrics scrape
+// path), remains usable after Close, and is deterministic: same-seed runs
+// produce byte-identical output.
 func (db *DB) WritePrometheus(w io.Writer) error {
-	faults := db.cfg.Faults != nil
-	cached := cacheEnabled(db.cfg)
-	db.mu.Lock()
-	snap := snapshotStack(db.st, faults, cached)
-	db.mu.Unlock()
-	if err := timeseries.WritePrometheus(w, "bandslim", descsFor(faults, cached), snap, histHelp); err != nil {
+	faults := db.cfg.PerShard.Faults != nil
+	cached := cacheEnabled(db.cfg.PerShard)
+	snaps := make([]timeseries.Snapshot, len(db.shards))
+	for i, sh := range db.shards {
+		sh.Do(func() { snaps[i] = snapshotStack(sh.Stack(), faults, cached) })
+	}
+	descs := descsFor(faults, cached)
+	if err := timeseries.WritePrometheus(w, "bandslim", descs, timeseries.MergeSnapshots(descs, snaps), histHelp); err != nil {
 		return err
 	}
 	// Trace-ring health and stage-blame families follow as a separate
 	// section, only when a ring recorder is attached: untraced runs keep
 	// byte-identical exposition (the golden-smoke guarantee).
-	rec, ok := db.cfg.Tracer.(*Recorder)
-	if !ok || rec == nil {
+	rep := db.Blame()
+	if rep == nil {
 		return nil
 	}
-	events := rec.TraceEvents()
-	rep := spans.Analyze(events)
-	bsnap := blameSnapshot(int64(len(events)), rec.Dropped(), rep)
-	return timeseries.WritePrometheus(w, "bandslim", traceDescs, bsnap, blameHistHelp)
+	ts := db.traceStats()
+	return timeseries.WritePrometheus(w, "bandslim", traceDescs, blameSnapshot(ts.Buffered, ts.Dropped, rep), blameHistHelp)
 }
 
 // WriteServerPrometheus writes a network front-end's counters in the

@@ -67,23 +67,45 @@ func TestTraceOverThresholdPutChain(t *testing.T) {
 }
 
 func TestTraceJSONLDeterministic(t *testing.T) {
-	capture := func() []byte {
+	shared := func() []TraceEvent {
 		rec := NewRecorder(1 << 16)
 		db := openSmall(t, func(c *Config) { c.Tracer = rec })
 		defer db.Close()
 		traceWorkload(t, db)
-		var buf bytes.Buffer
-		if err := WriteTraceJSONL(&buf, rec.TraceEvents()); err != nil {
-			t.Fatal(err)
+		return rec.TraceEvents()
+	}
+	perShard := func(shards int) func() []TraceEvent {
+		return func() []TraceEvent {
+			db, err := OpenSharded(ShardedConfig{Shards: shards, PerShard: smallConfig(), TraceCapacity: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			traceWorkload(t, db)
+			return db.TraceEvents()
 		}
-		return buf.Bytes()
 	}
-	a, b := capture(), capture()
-	if len(a) == 0 {
-		t.Fatal("traced workload produced no JSONL")
+	cases := map[string]func() []TraceEvent{
+		"shared recorder": shared,
+		"shards=1":        perShard(1),
+		"shards=2":        perShard(2),
+		"shards=4":        perShard(4),
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical runs produced different JSONL")
+	for name, events := range cases {
+		capture := func() []byte {
+			var buf bytes.Buffer
+			if err := WriteTraceJSONL(&buf, events()); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		a, b := capture(), capture()
+		if len(a) == 0 {
+			t.Fatalf("%s: traced workload produced no JSONL", name)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: identical runs produced different JSONL", name)
+		}
 	}
 }
 
@@ -158,40 +180,27 @@ func TestErrorSentinelsMatchable(t *testing.T) {
 }
 
 func TestSettersFailAfterClose(t *testing.T) {
-	db := openSmall(t, nil)
-	if err := db.SetMethod(Piggyback); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetThresholds(DefaultConfig().Thresholds); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetMethod(Baseline); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DB.SetMethod after Close = %v, want ErrClosed", err)
-	}
-	if err := db.SetThresholds(DefaultConfig().Thresholds); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DB.SetThresholds after Close = %v, want ErrClosed", err)
-	}
-
-	sdb, err := OpenSharded(ShardedConfig{Shards: 2, PerShard: smallConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.SetMethod(Piggyback); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.SetThresholds(DefaultConfig().Thresholds); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sdb.SetMethod(Baseline); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ShardedDB.SetMethod after Close = %v, want ErrClosed", err)
-	}
-	if err := sdb.SetThresholds(DefaultConfig().Thresholds); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ShardedDB.SetThresholds after Close = %v, want ErrClosed", err)
+	for _, shards := range []int{1, 2, 4} {
+		db, err := OpenSharded(ShardedConfig{Shards: shards, PerShard: smallConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, thr := Piggyback, DefaultConfig().Thresholds
+		if err := db.Tune(Tuning{Method: &m}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Tune(Tuning{Thresholds: &thr}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m = Baseline
+		if err := db.Tune(Tuning{Method: &m}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("shards=%d: Tune(Method) after Close = %v, want ErrClosed", shards, err)
+		}
+		if err := db.Tune(Tuning{Thresholds: &thr}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("shards=%d: Tune(Thresholds) after Close = %v, want ErrClosed", shards, err)
+		}
 	}
 }

@@ -4,7 +4,7 @@ package bandslim_test
 // the trace through its text format, replay it against a fresh identically
 // configured stack, and require the replayed run to be indistinguishable —
 // same Stats, same Prometheus exposition bytes, same final key/value
-// contents by full iteration — on both stack flavors. This is the in-tree
+// contents by full iteration — at every shard count. This is the in-tree
 // twin of the `make ycsb-smoke` CLI gate.
 
 import (
@@ -21,18 +21,11 @@ import (
 )
 
 // replayStack mirrors the bandslim-cli trace stack: default config with the
-// metrics sampler armed, sharded when shards > 1.
-func replayStack(t *testing.T, shards int) bench.ScenarioDB {
+// metrics sampler armed.
+func replayStack(t *testing.T, shards int) *bandslim.DB {
 	t.Helper()
 	per := bandslim.DefaultConfig()
 	per.MetricsInterval = 100 * sim.Microsecond
-	if shards <= 1 {
-		db, err := bandslim.Open(per)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
 	db, err := bandslim.OpenSharded(bandslim.ShardedConfig{Shards: shards, PerShard: per})
 	if err != nil {
 		t.Fatal(err)
@@ -43,33 +36,11 @@ func replayStack(t *testing.T, shards int) bench.ScenarioDB {
 // replayFingerprint closes the stack and renders everything the equivalence
 // check compares: the Prometheus exposition, the Stats structure, and a full
 // ordered dump of the surviving key/value pairs.
-func replayFingerprint(t *testing.T, db bench.ScenarioDB) (prom string, stats bandslim.Stats, dump string) {
+func replayFingerprint(t *testing.T, db *bandslim.DB) (prom string, stats bandslim.Stats, dump string) {
 	t.Helper()
-	var (
-		buf bytes.Buffer
-		it  interface {
-			Valid() bool
-			Key() []byte
-			Value() []byte
-			Err() error
-			Next()
-		}
-	)
-	switch d := db.(type) {
-	case *bandslim.DB:
-		iter, err := d.NewIterator(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it = iter
-	case *bandslim.ShardedDB:
-		iter, err := d.NewIterator(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it = iter
-	default:
-		t.Fatalf("unknown stack %T", db)
+	it, err := db.NewIterator(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var sb strings.Builder
 	for it.Valid() {
@@ -81,29 +52,18 @@ func replayFingerprint(t *testing.T, db bench.ScenarioDB) (prom string, stats ba
 	}
 	// Close before rendering the exposition so it includes the final flush,
 	// matching the order the CLI gate exports in.
-	switch d := db.(type) {
-	case *bandslim.DB:
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		stats = d.Stats()
-	case *bandslim.ShardedDB:
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		stats = d.Stats()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return buf.String(), stats, sb.String()
+	var buf bytes.Buffer
+	if err := db.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), db.Stats(), sb.String()
 }
 
 func TestReplayEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			const seed = 1234
 			s, err := workload.NewScenario("mixed", workload.ScenarioConfig{

@@ -42,7 +42,14 @@ func TestSeriesEmptyWithoutInterval(t *testing.T) {
 }
 
 func TestSeriesRecordsTrajectory(t *testing.T) {
-	db := openSmall(t, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond })
+	for _, shards := range []int{1, 2, 4} {
+		db := openSharded(t, shards, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond })
+		seriesTrajectory(t, db)
+	}
+}
+
+func seriesTrajectory(t *testing.T, db *DB) {
+	t.Helper()
 	metricsWorkload(t, db.Put, db.Get, db.Flush)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -81,8 +88,15 @@ func TestSeriesRecordsTrajectory(t *testing.T) {
 }
 
 func TestExportsDeterministic(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		exportsDeterministic(t, shards)
+	}
+}
+
+func exportsDeterministic(t *testing.T, shards int) {
+	t.Helper()
 	capture := func() ([]byte, []byte) {
-		db := openSmall(t, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond })
+		db := openSharded(t, shards, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond })
 		metricsWorkload(t, db.Put, db.Get, db.Flush)
 		var prom bytes.Buffer
 		if err := db.WritePrometheus(&prom); err != nil {
@@ -100,19 +114,19 @@ func TestExportsDeterministic(t *testing.T) {
 	p1, c1 := capture()
 	p2, c2 := capture()
 	if len(p1) == 0 || len(c1) == 0 {
-		t.Fatal("exports are empty")
+		t.Fatalf("shards=%d: exports are empty", shards)
 	}
 	if !bytes.Equal(p1, p2) {
-		t.Fatal("same-seed runs produced different Prometheus exposition")
+		t.Fatalf("shards=%d: same-seed runs produced different Prometheus exposition", shards)
 	}
 	if !bytes.Equal(c1, c2) {
-		t.Fatal("same-seed runs produced different series CSV")
+		t.Fatalf("shards=%d: same-seed runs produced different series CSV", shards)
 	}
 }
 
-// A one-shard ShardedDB running the same serialized workload must agree with
-// a plain DB on every counter metric, sample by sample — the acceptance
-// contract for the cross-shard series merge.
+// OpenSharded with one shard running the same serialized workload must agree
+// with Open on every counter metric, sample by sample, and on the exposition
+// bytes: Open is the one-shard case, and the cross-shard merge is exact.
 func TestShardedSeriesMatchesSingleDB(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MetricsInterval = 5 * sim.Microsecond
@@ -159,17 +173,18 @@ func TestShardedSeriesMatchesSingleDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p1.Bytes(), p2.Bytes()) {
-		t.Fatal("one-shard ShardedDB exposition differs from plain DB")
+		t.Fatal("one-shard OpenSharded exposition differs from Open")
 	}
 }
 
 func TestShardedCountersSumAcrossShards(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MetricsInterval = 5 * sim.Microsecond
-	sdb, err := OpenSharded(ShardedConfig{Shards: 4, PerShard: cfg})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2, 4} {
+		countersSum(t, openSharded(t, shards, func(c *Config) { c.MetricsInterval = 5 * sim.Microsecond }))
 	}
+}
+
+func countersSum(t *testing.T, sdb *DB) {
+	t.Helper()
 	const n = 256
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key-%04d", i))

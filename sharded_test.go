@@ -3,9 +3,11 @@ package bandslim
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"bandslim/internal/sim"
 )
@@ -25,8 +27,8 @@ func openSharded(t *testing.T, shards int, mutate func(*Config)) *ShardedDB {
 }
 
 // shardedWorkload is a deterministic mixed workload, applied identically to
-// any coreKV front-end.
-func shardedWorkload(t *testing.T, kv coreKV, ops int) {
+// any shard count.
+func shardedWorkload(t *testing.T, kv *DB, ops int) {
 	t.Helper()
 	rng := sim.NewRNG(99)
 	key := make([]byte, 4)
@@ -52,8 +54,8 @@ func shardedWorkload(t *testing.T, kv coreKV, ops int) {
 	}
 }
 
-// A one-shard ShardedDB must be byte-identical to a plain DB: same PCIe
-// traffic ledgers, same NAND write counts, same simulated time.
+// Open must be exactly the one-shard OpenSharded: same PCIe traffic ledgers,
+// same NAND write counts, same simulated time.
 func TestShardedSingleShardMatchesDB(t *testing.T) {
 	db := openSmall(t, nil)
 	defer db.Close()
@@ -84,15 +86,15 @@ func TestShardedSingleShardMatchesDB(t *testing.T) {
 	}
 	for _, c := range checks {
 		if c.x != c.y {
-			t.Errorf("%s diverged: DB=%d ShardedDB=%d", c.name, c.x, c.y)
+			t.Errorf("%s diverged: Open=%d OpenSharded=%d", c.name, c.x, c.y)
 		}
 	}
 	if a.Host.WriteResp.Mean != b.Host.WriteResp.Mean || a.Host.WriteResp.P99 != b.Host.WriteResp.P99 {
-		t.Errorf("latency diverged: DB mean=%v p99=%v, ShardedDB mean=%v p99=%v",
+		t.Errorf("latency diverged: Open mean=%v p99=%v, OpenSharded mean=%v p99=%v",
 			a.Host.WriteResp.Mean, a.Host.WriteResp.P99, b.Host.WriteResp.Mean, b.Host.WriteResp.P99)
 	}
 	if db.Now() != s.Now() {
-		t.Errorf("clocks diverged: DB=%v ShardedDB=%v", db.Now(), s.Now())
+		t.Errorf("clocks diverged: Open=%v OpenSharded=%v", db.Now(), s.Now())
 	}
 }
 
@@ -162,7 +164,13 @@ func TestShardedPartitionStable(t *testing.T) {
 }
 
 func TestShardedIteratorGlobalOrder(t *testing.T) {
-	s := openSharded(t, 3, nil)
+	for _, shards := range []int{1, 2, 3, 4} {
+		testIteratorGlobalOrder(t, openSharded(t, shards, nil))
+	}
+}
+
+func testIteratorGlobalOrder(t *testing.T, s *DB) {
+	t.Helper()
 	var want []string
 	for i := 0; i < 300; i++ {
 		key := []byte(fmt.Sprintf("it%04d", i))
@@ -195,7 +203,13 @@ func TestShardedIteratorGlobalOrder(t *testing.T) {
 }
 
 func TestShardedStatsAggregation(t *testing.T) {
-	s := openSharded(t, 4, nil)
+	for _, shards := range []int{1, 2, 4} {
+		testStatsAggregation(t, openSharded(t, shards, nil))
+	}
+}
+
+func testStatsAggregation(t *testing.T, s *DB) {
+	t.Helper()
 	shardedWorkload(t, s, 400)
 	agg := s.Stats()
 	var sum Stats
@@ -237,7 +251,13 @@ func TestShardedStatsAggregation(t *testing.T) {
 }
 
 func TestShardedClose(t *testing.T) {
-	s := openSharded(t, 2, nil)
+	for _, shards := range []int{1, 2, 4} {
+		testClose(t, openSharded(t, shards, nil))
+	}
+}
+
+func testClose(t *testing.T, s *DB) {
+	t.Helper()
 	if err := s.Put([]byte("ck"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +305,7 @@ func TestOpenShardedValidates(t *testing.T) {
 	}
 }
 
-// Run with -race: concurrent Put/Get/Delete plus Stats against a ShardedDB.
+// Run with -race: concurrent Put/Get/Delete plus Stats against a 4-shard DB.
 func TestShardedConcurrentAccess(t *testing.T) {
 	s := openSharded(t, 4, nil)
 	var wg sync.WaitGroup
@@ -421,5 +441,191 @@ func TestShardedWindowStorm(t *testing.T) {
 	wg.Wait()
 	if sub := s.Submission(); sub.QueueDepth != 8 {
 		t.Fatalf("Submission after storm = %+v, want depth 8", sub)
+	}
+}
+
+// settleGoroutines waits briefly for exiting goroutines to leave the count,
+// returning the last reading.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// Open starts no goroutine, OpenSharded(N) at most N-1 batch helpers, and
+// Close stops every one of them.
+func TestOpenGoroutineBudget(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		s, err := OpenSharded(ShardedConfig{Shards: shards, PerShard: smallConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.NumGoroutine() - before; got > shards-1 {
+			t.Fatalf("shards=%d: open started %d goroutines, want at most %d", shards, got, shards-1)
+		}
+		keys, values := make([][]byte, 64), make([][]byte, 64)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("gb%03d", i))
+			values[i] = []byte{byte(i)}
+		}
+		if err := s.PutBatch(keys, values); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.GetBatch(keys, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.NumGoroutine() - before; got > shards-1 {
+			t.Fatalf("shards=%d: batches left %d goroutines running, want at most %d", shards, got, shards-1)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := settleGoroutines(before); after > before {
+			t.Fatalf("shards=%d: %d goroutines leaked past Close", shards, after-before)
+		}
+	}
+	db, err := Open(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.NumShards() != 1 {
+		t.Fatalf("Open built %d shards, want 1", db.NumShards())
+	}
+}
+
+// Run with -race: Close racing single-key ops and batches from several
+// goroutines. Every op returns nil or ErrClosed; nothing panics or hangs.
+func TestCloseRacesOps(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		s := openSharded(t, shards, nil)
+		keys, values := make([][]byte, 16), make([][]byte, 16)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("cr%02d", i))
+			values[i] = bytes.Repeat([]byte{byte(i)}, 100)
+		}
+		if err := s.PutBatch(keys, values); err != nil {
+			t.Fatal(err)
+		}
+		check := func(op string, err error) bool {
+			if err != nil && err != ErrClosed {
+				t.Errorf("shards=%d: %s racing Close = %v, want nil or ErrClosed", shards, op, err)
+			}
+			return err == ErrClosed
+		}
+		// Close once every goroutine has completed an op, so the close
+		// lands mid-stream.
+		var wg, started sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			started.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var dst []byte
+				for i := 0; ; i++ {
+					if i == 1 {
+						started.Done()
+					}
+					k := keys[(g+i)%len(keys)]
+					var closed bool
+					switch g % 3 {
+					case 0:
+						closed = check("Put", s.Put(k, values[0]))
+					case 1:
+						v, err := s.GetInto(k, dst)
+						closed = check("GetInto", err)
+						if err == nil {
+							dst = v
+						}
+					case 2:
+						closed = check("PutBatch", s.PutBatch(keys, values))
+					}
+					if closed {
+						if i == 0 {
+							started.Done()
+						}
+						return
+					}
+				}
+			}(g)
+		}
+		started.Wait()
+		var closers sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			closers.Add(1)
+			go func() {
+				defer closers.Done()
+				if err := s.Close(); err != nil {
+					t.Errorf("shards=%d: Close = %v", shards, err)
+				}
+			}()
+		}
+		closers.Wait()
+		wg.Wait()
+	}
+}
+
+// Run with -race: single-key ops, cross-shard batches, whole-DB flushes, and
+// Tune on the same shards at once. Batches lock shard mutexes in ascending
+// order while single-key ops take one, so this must finish, not deadlock.
+func TestSingleKeyAndBatchConcurrency(t *testing.T) {
+	s := openSharded(t, 4, nil)
+	keys, values := make([][]byte, 32), make([][]byte, 32)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("mx%02d", i))
+		values[i] = bytes.Repeat([]byte{byte(i)}, 80)
+	}
+	if err := s.PutBatch(keys, values); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				vals := make([][]byte, len(keys))
+				miss := make([]bool, len(keys))
+				var dst []byte
+				for i := 0; i < 40; i++ {
+					k := keys[(g*7+i)%len(keys)]
+					var err error
+					switch (g + i) % 6 {
+					case 0:
+						err = s.Put(k, values[0])
+					case 1:
+						dst, err = s.GetInto(k, dst)
+					case 2:
+						err = s.PutBatch(keys, values)
+					case 3:
+						_, err = s.GetBatchSparse(keys, vals, miss)
+					case 4:
+						err = s.Flush()
+					case 5:
+						m := Adaptive
+						err = s.Tune(Tuning{Method: &m})
+					}
+					if err != nil {
+						t.Errorf("goroutine %d op %d: %v", g, i, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("single-key ops and cross-shard batches deadlocked")
 	}
 }

@@ -147,21 +147,124 @@ type Stats struct {
 	Trace    TraceStats
 }
 
-// Stats snapshots the current counters.
+// Stats aggregates a point-in-time snapshot across every shard: counters and
+// byte ledgers sum exactly, latency distributions merge exactly (see
+// metrics.Histogram.Merge), Elapsed is the max over shard clocks, and
+// BufferUtil is the flush-weighted mean. It remains readable after Close.
 func (db *DB) Stats() Stats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := stackStats(db.st)
-	if rec, ok := db.cfg.Tracer.(*Recorder); ok && rec != nil {
-		s.Trace = TraceStats{Buffered: int64(rec.Len()), Dropped: rec.Dropped()}
+	snaps := make([]shardSnapshot, len(db.shards))
+	for i, sh := range db.shards {
+		sh.Do(func() {
+			st := sh.Stack()
+			snaps[i] = shardSnapshot{
+				stats:      stackStats(st),
+				write:      st.Drv.Stats().WriteResponse.Clone(),
+				read:       st.Drv.Stats().ReadResponse.Clone(),
+				bufFlushed: st.Dev.Buffer().Stats().Flushes.Value(),
+			}
+		})
 	}
-	return s
+	out := mergeSnapshots(snaps)
+	out.Trace = db.traceStats()
+	return out
 }
 
-// stackStats flattens one stack's counters into a Stats; shared by DB.Stats
-// and the per-shard snapshots ShardedDB.Stats aggregates. The caller must
-// hold whatever serializes access to the stack (the DB mutex, or the shard
-// worker goroutine).
+// ShardStats snapshots one shard's counters (for per-shard balance checks).
+func (db *DB) ShardStats(i int) Stats {
+	var out Stats
+	sh := db.shards[i]
+	sh.Do(func() { out = stackStats(sh.Stack()) })
+	return out
+}
+
+// shardSnapshot is one shard's raw measurement: the flattened counters plus
+// the pieces that cannot be aggregated from flattened values alone.
+type shardSnapshot struct {
+	stats      Stats
+	write      *metrics.Histogram
+	read       *metrics.Histogram
+	bufFlushed int64 // pagebuf pages flushed, weighting BufferUtil
+}
+
+// mergeSnapshots folds per-shard snapshots into one aggregate Stats. A
+// single shard's snapshot is the aggregate as is.
+func mergeSnapshots(snaps []shardSnapshot) Stats {
+	if len(snaps) == 1 {
+		return snaps[0].stats
+	}
+	var out Stats
+	write, read := metrics.NewHistogram(), metrics.NewHistogram()
+	var flushed int64
+	for _, sn := range snaps {
+		p := sn.stats
+		out.Host.Puts += p.Host.Puts
+		out.Host.Gets += p.Host.Gets
+		out.Host.Deletes += p.Host.Deletes
+		out.Host.Commands += p.Host.Commands
+		out.PCIe.Bytes += p.PCIe.Bytes
+		out.PCIe.TotalBytes += p.PCIe.TotalBytes
+		out.PCIe.DMABytes += p.PCIe.DMABytes
+		out.PCIe.CommandBytes += p.PCIe.CommandBytes
+		out.PCIe.MMIOBytes += p.PCIe.MMIOBytes
+		out.PCIe.CompletionBytes += p.PCIe.CompletionBytes
+		out.Device.NANDPageWrites += p.Device.NANDPageWrites
+		out.Device.NANDPageReads += p.Device.NANDPageReads
+		out.Device.BlockErases += p.Device.BlockErases
+		out.Device.VLogFlushes += p.Device.VLogFlushes
+		out.Device.ForcedFlushes += p.Device.ForcedFlushes
+		out.Device.BackfillJumps += p.Device.BackfillJumps
+		out.Device.MemcpyTime += p.Device.MemcpyTime
+		out.Device.FlushWaitTime += p.Device.FlushWaitTime
+		out.Device.Memcpys += p.Device.Memcpys
+		out.Device.GCWrites += p.Device.GCWrites
+		out.Device.Compactions += p.Device.Compactions
+		out.Adaptive.Inline += p.Adaptive.Inline
+		out.Adaptive.PRP += p.Adaptive.PRP
+		out.Adaptive.Hybrid += p.Adaptive.Hybrid
+		out.Cache.Hits += p.Cache.Hits
+		out.Cache.Misses += p.Cache.Misses
+		out.Cache.PageHits += p.Cache.PageHits
+		out.Cache.PageMisses += p.Cache.PageMisses
+		out.Cache.Evictions += p.Cache.Evictions
+		out.Cache.Invalidations += p.Cache.Invalidations
+		out.Cache.NegHits += p.Cache.NegHits
+		out.Cache.NegLearned += p.Cache.NegLearned
+		out.Faults.NandProgramFaults += p.Faults.NandProgramFaults
+		out.Faults.NandReadFaults += p.Faults.NandReadFaults
+		out.Faults.NandEraseFaults += p.Faults.NandEraseFaults
+		out.Faults.TransferFaults += p.Faults.TransferFaults
+		out.Faults.BadBlocks += p.Faults.BadBlocks
+		out.Faults.FTLRetries += p.Faults.FTLRetries
+		out.Faults.PowerCuts += p.Faults.PowerCuts
+		out.Faults.Mounts += p.Faults.Mounts
+		out.Faults.ReplayedRecords += p.Faults.ReplayedRecords
+		out.Faults.Retries += p.Faults.Retries
+		out.Faults.RetriesExhausted += p.Faults.RetriesExhausted
+		out.Faults.Recoveries += p.Faults.Recoveries
+		if p.Host.Elapsed > out.Host.Elapsed {
+			out.Host.Elapsed = p.Host.Elapsed
+		}
+		write.Merge(sn.write)
+		read.Merge(sn.read)
+		flushed += sn.bufFlushed
+	}
+	out.Host.WriteResp = latencySummary(write)
+	out.Host.ReadResp = latencySummary(read)
+	if flushed > 0 {
+		var weighted float64
+		for _, sn := range snaps {
+			weighted += sn.stats.Device.BufferUtil * float64(sn.bufFlushed)
+		}
+		out.Device.BufferUtil = weighted / float64(flushed)
+	}
+	if out.Host.Elapsed > 0 && out.Host.Puts > 0 {
+		out.Host.ThroughputKops = float64(out.Host.Puts) / out.Host.Elapsed.Seconds() / 1000
+	}
+	return out
+}
+
+// stackStats flattens one stack's counters into a Stats. The caller holds
+// the shard mutex.
 func stackStats(st *shard.Stack) Stats {
 	ds := st.Drv.Stats()
 	fs := st.Dev.Flash().Stats()
@@ -444,7 +547,7 @@ var histHelp = map[string]string{
 // snapshotStack reads one stack's full metric state as a timeseries
 // snapshot: the flattened Stats tree, the Inspect-style gauges, and clones
 // of every latency histogram. Values are built in seriesDescs order. The
-// caller must hold whatever serializes access to the stack.
+// caller holds the shard mutex.
 func snapshotStack(st *shard.Stack, faults, cached bool) timeseries.Snapshot {
 	s := stackStats(st)
 	buf := st.Dev.Buffer()
@@ -583,7 +686,7 @@ func CalibrateThresholds(perSize int) (Thresholds, error) {
 				return 0, err
 			}
 		}
-		return sim.Duration(db.st.Drv.Stats().WriteResponse.Mean()), nil
+		return db.Stats().Host.WriteResp.Mean, nil
 	}
 	thr := driver.DefaultThresholds()
 	// Threshold1: largest probed size where piggybacking is no slower.
