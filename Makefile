@@ -23,10 +23,13 @@ fmt:
 	gofmt -l .
 
 # Hot-path benchmarks: the testing.B micro suite with allocation counts
-# (benchstat-comparable; committed as results/bench_micro.txt) plus the
-# fixed-iteration before/after harness (results/BENCH_hotpath.json).
+# (benchstat-comparable; committed as results/bench_micro.txt), the
+# fixed-size LSM fill (one fill of n puts per iteration, so each iteration
+# does the same work) and the fixed-iteration before/after harness
+# (results/BENCH_hotpath.json).
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem -count=1 . | tee results/bench_micro.txt
+	$(GO) test -run=NONE -bench=TreeFill -benchtime=1x -count=3 ./internal/lsm | tee -a results/bench_micro.txt
 	$(GO) run ./cmd/bandslim-bench -experiment hotpath -scale 40000 -seed 42 -json results
 
 # Regenerate the shard-scaling results artifact.

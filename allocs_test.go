@@ -2,14 +2,16 @@ package bandslim_test
 
 // Allocation regression tests: the per-op simulation path must be
 // allocation-free in steady state. Steady state means the structural
-// allocations are behind us — pools warmed, scratch buffers grown to their
-// working size, and (for writes) keys already present so the MemTable
-// overwrites in place instead of inserting. New-key inserts, SSTable
-// flushes, and compactions legitimately allocate; they are amortized
-// structural work, not the per-op path.
+// allocations are behind us — pools warmed and scratch buffers grown to their
+// working size. New-key inserts, SSTable flushes and compactions still
+// allocate now and then (a MemTable slab, a new table's page list, a NAND
+// page image), so the guard across them bounds the average per put instead
+// of requiring zero.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bandslim"
@@ -91,6 +93,64 @@ func TestPutAllocsSteadyState(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestPutAllocsAcrossCompactions extends the write-path guard past the
+// MemTable: unique keys make the measured window run MemTable flushes and
+// both kinds of compaction (L0 into L1, and one level into the next). The
+// window is measured with MemStats.Mallocs because AllocsPerRun rounds down
+// to a whole number per run.
+func TestPutAllocsAcrossCompactions(t *testing.T) {
+	const (
+		warm   = 40_000 // unique puts before the window: pools and scratch grow
+		window = 80_000
+		limit  = 0.1 // allocations per put
+	)
+	for trName, tr := range tracers() {
+		t.Run(trName, func(t *testing.T) {
+			cfg := allocConfig(bandslim.Piggyback, bandslim.BackfillPacking, true, tr)
+			lsmCfg := cfg.Device.LSM
+			db, err := bandslim.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			key, value := make([]byte, 8), make([]byte, 32)
+			put := func(i int) {
+				binary.BigEndian.PutUint64(key, uint64(i)*0x9E3779B97F4A7C15)
+				if err := db.Put(key, value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				put(i)
+			}
+			compactions := db.Stats().Device.Compactions
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := warm; i < warm+window; i++ {
+				put(i)
+			}
+			runtime.ReadMemStats(&after)
+			compactions = db.Stats().Device.Compactions - compactions
+
+			// Every key is new, so the MemTable flushes each MemTableEntries
+			// puts and L0 compacts on every L0CompactionTrigger-th flush;
+			// every other compaction pushed a level down.
+			flushesBy := func(puts int) int { return puts / lsmCfg.MemTableEntries }
+			flushes := flushesBy(warm+window) - flushesBy(warm)
+			l0 := int64(flushesBy(warm+window)/lsmCfg.L0CompactionTrigger - flushesBy(warm)/lsmCfg.L0CompactionTrigger)
+			if flushes < 8 || l0 < 1 || compactions-l0 < 1 {
+				t.Fatalf("window ran %d flushes, %d L0 and %d level compactions; want >= 8, >= 1, >= 1",
+					flushes, l0, compactions-l0)
+			}
+			perPut := float64(after.Mallocs-before.Mallocs) / window
+			t.Logf("%.4f allocs/put over %d puts (%d flushes, %d compactions)", perPut, window, flushes, compactions)
+			if perPut > limit {
+				t.Errorf("Put allocates %.3f objects per op across flushes and compactions, want <= %v", perPut, limit)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"bandslim/internal/vlog"
@@ -19,29 +20,47 @@ type Entry struct {
 	Addr      vlog.Addr
 	Size      uint32
 	Tombstone bool
-	seq       uint64 // recency; larger wins during merges
 }
 
 const (
 	maxHeight = 12
 	// MaxKeySize mirrors the NVMe command's inline key capacity.
 	MaxKeySize = 16
+	// nodeSlab sizes the chunks a MemTable carves its skiplist nodes from,
+	// so an insert costs no allocation of its own.
+	nodeSlab = 128
 )
 
 type skipNode struct {
-	entry Entry
+	// pre is keyPrefix(entry.Key), kept next to the links so a search step
+	// usually decides without reading the key itself.
+	pre   uint64
 	next  [maxHeight]*skipNode
+	entry Entry
+	key   [MaxKeySize]byte // backs entry.Key
+}
+
+// keyPrefix packs a key's first 8 bytes big-endian, zero-padded. Keys whose
+// prefixes differ sort as their prefixes do; equal prefixes need the keys.
+func keyPrefix(key []byte) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // MemTable is a skiplist-ordered write buffer. The device's DRAM is battery
 // backed, so the MemTable is durable the moment a value is inserted (§2.2).
+//
+// Nodes, each holding its own copy of its key, are carved from slabs the
+// table owns. A flushed MemTable is dropped, never reset, so an open
+// iterator's nodes stay intact.
 type MemTable struct {
 	head   *skipNode
 	height int
 	count  int
 	bytes  int // approximate index bytes held
 	rng    *simRNG
-	seq    uint64
+	nodes  []skipNode // node slab: len is the carved prefix
 }
 
 // simRNG is a tiny xorshift so the skiplist is deterministic per table.
@@ -79,20 +98,13 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 	if len(key) == 0 || len(key) > MaxKeySize {
 		return fmt.Errorf("lsm: key length %d out of range [1,%d]", len(key), MaxKeySize)
 	}
-	m.seq++
 	var prev [maxHeight]*skipNode
-	n := m.head
-	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for n.next[lvl] != nil && bytes.Compare(n.next[lvl].entry.Key, key) < 0 {
-			n = n.next[lvl]
-		}
-		prev[lvl] = n
-	}
+	pre := keyPrefix(key)
+	n := m.search(pre, key, &prev)
 	if c := n.next[0]; c != nil && bytes.Equal(c.entry.Key, key) {
 		c.entry.Addr = addr
 		c.entry.Size = size
 		c.entry.Tombstone = tombstone
-		c.entry.seq = m.seq
 		return nil
 	}
 	h := m.randomHeight()
@@ -102,13 +114,10 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 		}
 		m.height = h
 	}
-	node := &skipNode{entry: Entry{
-		Key:       append([]byte(nil), key...),
-		Addr:      addr,
-		Size:      size,
-		Tombstone: tombstone,
-		seq:       m.seq,
-	}}
+	node := m.newNode()
+	node.pre = pre
+	copy(node.key[:], key)
+	node.entry = Entry{Key: node.key[:len(key):len(key)], Addr: addr, Size: size, Tombstone: tombstone}
 	for lvl := 0; lvl < h; lvl++ {
 		node.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = node
@@ -118,18 +127,42 @@ func (m *MemTable) Put(key []byte, addr vlog.Addr, size uint32, tombstone bool) 
 	return nil
 }
 
+// search returns the last node whose key sorts before key, whose prefix is
+// pre. When prev is not nil it also records that node for every level.
+func (m *MemTable) search(pre uint64, key []byte, prev *[maxHeight]*skipNode) *skipNode {
+	n := m.head
+	for lvl := m.height - 1; lvl >= 0; lvl-- {
+		for {
+			nx := n.next[lvl]
+			if nx == nil || nx.pre > pre || nx.pre == pre && bytes.Compare(nx.entry.Key, key) >= 0 {
+				break
+			}
+			n = nx
+		}
+		if prev != nil {
+			prev[lvl] = n
+		}
+	}
+	return n
+}
+
+// newNode carves a zeroed node from the node slab, starting a new slab when
+// the current one is used up.
+func (m *MemTable) newNode() *skipNode {
+	if len(m.nodes) == cap(m.nodes) {
+		m.nodes = make([]skipNode, 0, nodeSlab)
+	}
+	m.nodes = m.nodes[:len(m.nodes)+1]
+	return &m.nodes[len(m.nodes)-1]
+}
+
 // entryOverhead approximates the per-entry index cost (addr+size+flags+links).
 const entryOverhead = 16
 
 // Get looks a key up. The second result reports whether the key is present
 // (a tombstone is present — the entry's Tombstone field distinguishes it).
 func (m *MemTable) Get(key []byte) (Entry, bool) {
-	n := m.head
-	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for n.next[lvl] != nil && bytes.Compare(n.next[lvl].entry.Key, key) < 0 {
-			n = n.next[lvl]
-		}
-	}
+	n := m.search(keyPrefix(key), key, nil)
 	if c := n.next[0]; c != nil && bytes.Equal(c.entry.Key, key) {
 		return c.entry, true
 	}
@@ -161,11 +194,5 @@ func (it *MemIterator) Entry() Entry { return it.node.entry }
 // Seek positions the iterator so the next call to Next returns the first
 // entry with key >= target.
 func (it *MemIterator) Seek(m *MemTable, target []byte) {
-	n := m.head
-	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for n.next[lvl] != nil && bytes.Compare(n.next[lvl].entry.Key, target) < 0 {
-			n = n.next[lvl]
-		}
-	}
-	it.node = n
+	it.node = m.search(keyPrefix(target), target, nil)
 }

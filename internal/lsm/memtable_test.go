@@ -73,9 +73,18 @@ func TestMemTableKeyIsCopied(t *testing.T) {
 
 func TestMemTableIteratorOrder(t *testing.T) {
 	m := NewMemTable()
-	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
+	// The last keys share 8-byte prefixes once zero-padded, or differ only
+	// past the eighth byte.
+	keys := []string{"delta", "alpha", "echo", "bravo", "charlie",
+		"ab\x00", "abcdefgh\xff", "ab", "abcdefgh", "ab\x00\x00", "abcdefghA",
+		"\x00", "abcdefgh\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\x01", "\xff\xff\xff\xff\xff\xff\xff\xff"}
 	for i, k := range keys {
 		m.Put([]byte(k), 0, uint32(i), false)
+	}
+	for i, k := range keys {
+		if e, ok := m.Get([]byte(k)); !ok || e.Size != uint32(i) {
+			t.Fatalf("Get(%q) = %+v, %v", k, e, ok)
+		}
 	}
 	it := m.Iterator()
 	var got []string

@@ -91,10 +91,9 @@ func encodeEntry(dst []byte, e Entry) int {
 	i++
 	i += copy(dst[i:], e.Key)
 	a := uint64(e.Addr)
-	for b := 0; b < addrBytes; b++ {
-		dst[i] = byte(a >> (8 * b))
-		i++
-	}
+	binary.LittleEndian.PutUint32(dst[i:], uint32(a))
+	dst[i+4] = byte(a >> 32)
+	i += addrBytes
 	binary.LittleEndian.PutUint32(dst[i:], e.Size)
 	i += 4
 	var fl byte
@@ -119,24 +118,12 @@ func parseEntry(src []byte) (kl int, addr vlog.Addr, size uint32, tomb bool, n i
 		return 0, 0, 0, false, 0, fmt.Errorf("lsm: corrupt entry (keyLen %d, %d bytes left)", kl, len(src))
 	}
 	i := 1 + kl
-	var a uint64
-	for b := 0; b < addrBytes; b++ {
-		a |= uint64(src[i]) << (8 * b)
-		i++
-	}
+	a := uint64(binary.LittleEndian.Uint32(src[i:])) | uint64(src[i+4])<<32
+	i += addrBytes
 	size = binary.LittleEndian.Uint32(src[i:])
 	i += 4
 	tomb = src[i]&flagTombstone != 0
 	return kl, vlog.Addr(a), size, tomb, i + 1, nil
-}
-
-func decodeEntry(src []byte) (Entry, int, error) {
-	kl, addr, size, tomb, n, err := parseEntry(src)
-	if err != nil {
-		return Entry{}, 0, err
-	}
-	key := append([]byte(nil), src[1:1+kl]...)
-	return Entry{Key: key, Addr: addr, Size: size, Tombstone: tomb}, n, nil
 }
 
 var errEndOfPage = fmt.Errorf("lsm: end of page")
@@ -151,6 +138,7 @@ type SSTable struct {
 	smallest []byte
 	largest  []byte
 	entries  int
+	keyBytes int // sum of the entries' key lengths
 }
 
 // ID reports the table's unique id.
@@ -193,25 +181,6 @@ func (t *SSTable) pageForKey(key []byte) int {
 	return best
 }
 
-// decodePage parses every entry in a page image. Each entry's key is a fresh
-// allocation, so results may be retained freely (compaction and merge paths).
-func decodePage(data []byte) ([]Entry, error) {
-	var out []Entry
-	i := 0
-	for i < len(data) {
-		e, n, err := decodeEntry(data[i:])
-		if err == errEndOfPage {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-		i += n
-	}
-	return out, nil
-}
-
 // decodePageInto parses every entry in a page image into reused scratch: the
 // entry slice is truncated and refilled, and every key sub-slices the arena.
 // The arena is pre-sized to the page so appends never move it mid-decode.
@@ -222,8 +191,13 @@ func decodePageInto(entries []Entry, arena, data []byte) ([]Entry, []byte, error
 	if cap(arena) < len(data) {
 		arena = make([]byte, 0, len(data))
 	}
-	arena = arena[:0]
-	entries = entries[:0]
+	return appendPage(entries[:0], arena[:0], data)
+}
+
+// appendPage parses every entry in a page image, appending the entries to
+// entries and their keys to arena. Keys are views into arena; a caller that
+// sizes arena for every key it will append keeps earlier keys in place.
+func appendPage(entries []Entry, arena, data []byte) ([]Entry, []byte, error) {
 	i := 0
 	for i < len(data) {
 		kl, addr, size, tomb, n, err := parseEntry(data[i:])
@@ -242,27 +216,33 @@ func decodePageInto(entries []Entry, arena, data []byte) ([]Entry, []byte, error
 	return entries, arena, nil
 }
 
-// tableBuilder streams sorted entries into pages through a PageStore.
+// tableBuilder streams sorted entries into pages through a PageStore. The
+// tree keeps one builder and restarts it for every table, so the page buffer
+// is reused; that is safe because a PageStore copies what it writes.
 type tableBuilder struct {
 	store PageStore
 	alloc *pageAllocator
 	table *SSTable
+	last  []byte // the table's largest key so far, a view of the caller's entry
 	page  []byte
 	used  int
 	end   sim.Time
 }
 
-func newTableBuilder(store PageStore, alloc *pageAllocator, id uint64) *tableBuilder {
-	return &tableBuilder{
-		store: store,
-		alloc: alloc,
-		table: &SSTable{id: id},
-		page:  make([]byte, store.PageSize()),
-	}
+func newTableBuilder(store PageStore, alloc *pageAllocator) *tableBuilder {
+	return &tableBuilder{store: store, alloc: alloc, page: make([]byte, store.PageSize())}
+}
+
+// start begins a new table with the given id, sized for pages pages.
+func (b *tableBuilder) start(id uint64, pages int) {
+	b.table = &SSTable{id: id, pages: make([]int, 0, pages), firstKey: make([][]byte, 0, pages)}
+	b.used = 0
+	b.end = 0
 }
 
 // add appends one entry (entries must arrive in strictly increasing key
-// order; the caller guarantees this).
+// order; the caller guarantees this). The entry's key must stay intact until
+// finish, which copies the largest one.
 func (b *tableBuilder) add(t sim.Time, e Entry) error {
 	need := encodedLen(e)
 	if b.used+need > len(b.page) {
@@ -274,11 +254,9 @@ func (b *tableBuilder) add(t sim.Time, e Entry) error {
 		b.table.firstKey = append(b.table.firstKey, append([]byte(nil), e.Key...))
 	}
 	b.used += encodeEntry(b.page[b.used:], e)
-	if b.table.smallest == nil {
-		b.table.smallest = append([]byte(nil), e.Key...)
-	}
-	b.table.largest = append(b.table.largest[:0], e.Key...)
+	b.last = e.Key
 	b.table.entries++
+	b.table.keyBytes += len(e.Key)
 	return nil
 }
 
@@ -299,9 +277,7 @@ func (b *tableBuilder) flushPage(t sim.Time) error {
 		b.end = end
 	}
 	b.table.pages = append(b.table.pages, page)
-	for i := range b.page {
-		b.page[i] = 0
-	}
+	clear(b.page[:b.used])
 	b.used = 0
 	return nil
 }
@@ -314,6 +290,8 @@ func (b *tableBuilder) finish(t sim.Time) (*SSTable, sim.Time, error) {
 	if b.table.entries == 0 {
 		return nil, b.end, nil
 	}
+	b.table.smallest = b.table.firstKey[0]
+	b.table.largest = append([]byte(nil), b.last...)
 	return b.table, b.end, nil
 }
 

@@ -75,6 +75,10 @@ type Tree struct {
 	// next lookup.
 	searchEntries []Entry
 	searchArena   []byte
+	// builder writes every table the tree produces, one after another;
+	// scratch is the compaction merge state (see mergeScratch).
+	builder *tableBuilder
+	scratch mergeScratch
 
 	// Crash-atomicity state. The catalog (levels + allocator + nextID) is
 	// snapshotted at the end of every successful Flush; Restore rolls back to
@@ -144,12 +148,14 @@ func NewTree(cfg Config, store PageStore) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	alloc := newPageAllocator(store.Pages())
 	tr := &Tree{
-		cfg:    cfg,
-		store:  store,
-		alloc:  newPageAllocator(store.Pages()),
-		mem:    NewMemTable(),
-		levels: make([][]*SSTable, cfg.MaxLevels),
+		cfg:     cfg,
+		store:   store,
+		alloc:   alloc,
+		mem:     NewMemTable(),
+		levels:  make([][]*SSTable, cfg.MaxLevels),
+		builder: newTableBuilder(store, alloc),
 	}
 	tr.committed = tr.snapshotCatalog()
 	return tr, nil
@@ -202,8 +208,7 @@ func (tr *Tree) Flush(t sim.Time) (sim.Time, error) {
 	if tr.mem.Len() == 0 {
 		return t, nil
 	}
-	tr.nextID++
-	b := newTableBuilder(tr.store, tr.alloc, tr.nextID)
+	b := tr.startTable()
 	it := tr.mem.Iterator()
 	for it.Next() {
 		if err := b.add(t, it.Entry()); err != nil {
@@ -379,57 +384,160 @@ func (tr *Tree) compactLevel(t sim.Time, lvl int) (sim.Time, error) {
 	return end, nil
 }
 
-// merge performs a k-way merge of the inputs (ordered newest-first for
-// duplicate resolution) into size-capped output tables. Tombstones are
-// dropped when merging into the bottom level.
-func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, sim.Time, error) {
+// startTable restarts the tree's builder on a fresh table id.
+func (tr *Tree) startTable() *tableBuilder {
+	tr.nextID++
+	tr.builder.start(tr.nextID, tr.cfg.TablePages)
+	return tr.builder
+}
+
+// mergeScratch is a merge's working state: every input entry decoded into
+// one flat slice whose keys live in one arena, and a binary min-heap of run
+// cursors over it. The tree reuses the run bookkeeping across merges; the
+// entries and their arena live for one merge, since held between merges they
+// would stay in the live heap that paces the garbage collector.
+type mergeScratch struct {
+	entries []Entry
+	bounds  []int // run i is entries[bounds[i]:bounds[i+1]]
+	pos     []int // run i's cursor, an index into entries
+	heap    []int // run indices ordered by less
+	// kid is the heap slot of the top's smaller child, or 0 when unknown.
+	// The children stay put while one run keeps winning, so each of its
+	// entries then costs one comparison.
+	kid int
+}
+
+// less orders runs by the key under their cursors, then by run index, so
+// the newest input wins a tie.
+func (m *mergeScratch) less(a, b int) bool {
+	c := bytes.Compare(m.entries[m.pos[a]].Key, m.entries[m.pos[b]].Key)
+	return c < 0 || c == 0 && a < b
+}
+
+// down restores the heap order below slot i.
+func (m *mergeScratch) down(i int) {
+	h := m.heap
+	if i == 0 {
+		m.kid = 0
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+			c = r
+		}
+		if !m.less(h[c], h[i]) {
+			if i == 0 {
+				m.kid = c
+			}
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// top returns the smallest entry under any cursor. The heap must be
+// non-empty.
+func (m *mergeScratch) top() Entry { return m.entries[m.pos[m.heap[0]]] }
+
+// pop advances the top run's cursor, dropping the run once it is used up.
+func (m *mergeScratch) pop() {
+	r := m.heap[0]
+	m.pos[r]++
+	if m.pos[r] == m.bounds[r+1] {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	} else if m.kid > 0 && m.less(r, m.heap[m.kid]) {
+		return
+	}
+	m.down(0)
+}
+
+// load reads and decodes every page of every input, in input then page
+// order, and builds the heap over the non-empty runs. The entries and arena
+// are sized from the inputs' entry and key byte counts, so decoding never
+// grows them.
+//
+// An input whose keys all follow the previous input's extends that input's
+// run: the two share no key, so no tie between them is ever resolved, and a
+// level's disjoint tables merge as one run.
+func (m *mergeScratch) load(tr *Tree, t sim.Time, inputs []*SSTable) (sim.Time, error) {
 	end := t
-	// Load and decode every input run (reads charged to the request that
-	// triggered the compaction, as synchronous firmware does).
-	runs := make([][]Entry, len(inputs))
+	n, keyBytes := 0, 0
+	for _, table := range inputs {
+		n += table.entries
+		keyBytes += table.keyBytes
+	}
+	entries, arena := make([]Entry, 0, n), make([]byte, 0, keyBytes)
+	m.bounds = m.bounds[:0]
 	for i, table := range inputs {
-		var entries []Entry
+		if i == 0 || bytes.Compare(inputs[i-1].largest, table.smallest) >= 0 {
+			m.bounds = append(m.bounds, len(entries))
+		}
 		for _, pg := range table.pages {
 			data, e, err := tr.store.ReadPage(t, pg)
 			if err != nil {
-				return nil, end, err
+				return end, err
 			}
 			tr.stats.PageReadsServed.Inc()
 			if e > end {
 				end = e
 			}
-			pe, err := decodePage(data)
+			entries, arena, err = appendPage(entries, arena, data)
 			if err != nil {
-				return nil, end, err
+				return end, err
 			}
-			entries = append(entries, pe...)
 		}
-		runs[i] = entries
+	}
+	m.bounds = append(m.bounds, len(entries))
+	m.entries = entries
+	runs := len(m.bounds) - 1
+	m.pos = append(m.pos[:0], m.bounds[:runs]...)
+	m.heap = m.heap[:0]
+	for r := 0; r < runs; r++ {
+		if m.bounds[r] < m.bounds[r+1] {
+			m.heap = append(m.heap, r)
+		}
+	}
+	m.kid = 0
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return end, nil
+}
+
+// release drops the decoded entries and, with them, their arena.
+func (m *mergeScratch) release() { m.entries = nil }
+
+// merge performs a k-way merge of the inputs (ordered newest-first for
+// duplicate resolution) into size-capped output tables. Tombstones are
+// dropped when merging into the bottom level.
+//
+// Every input page is read at t, in input then page order, before the first
+// output page is written. The simulated NAND schedule, and so every
+// simulated time, depends on that order.
+func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, sim.Time, error) {
+	// Reads are charged to the request that triggered the compaction, as
+	// synchronous firmware does.
+	m := &tr.scratch
+	defer m.release()
+	end, err := m.load(tr, t, inputs)
+	if err != nil {
+		return nil, end, err
 	}
 	var out []*SSTable
 	var builder *tableBuilder
-	pos := make([]int, len(runs))
-	for {
-		// Pick the smallest key; ties resolved by input order (newest
-		// input first in `inputs`).
-		best := -1
-		for i := range runs {
-			if pos[i] >= len(runs[i]) {
-				continue
-			}
-			if best < 0 || bytes.Compare(runs[i][pos[i]].Key, runs[best][pos[best]].Key) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := runs[best][pos[best]]
-		// Skip older duplicates in every run.
-		for i := range runs {
-			for pos[i] < len(runs[i]) && bytes.Equal(runs[i][pos[i]].Key, e.Key) {
-				pos[i]++
-			}
+	for len(m.heap) > 0 {
+		r, e := m.heap[0], m.top()
+		// Older duplicates of e surface at the top right behind it. A run's
+		// keys strictly increase, so once r is back on top none is left.
+		m.pop()
+		for len(m.heap) > 0 && m.heap[0] != r && bytes.Equal(m.top().Key, e.Key) {
+			m.pop()
 		}
 		tr.stats.EntriesMerged.Inc()
 		if e.Tombstone && bottom {
@@ -437,8 +545,7 @@ func (tr *Tree) merge(t sim.Time, inputs []*SSTable, bottom bool) ([]*SSTable, s
 			continue
 		}
 		if builder == nil {
-			tr.nextID++
-			builder = newTableBuilder(tr.store, tr.alloc, tr.nextID)
+			builder = tr.startTable()
 		}
 		if err := builder.add(t, e); err != nil {
 			return nil, end, err
@@ -511,11 +618,17 @@ func splitOverlap(tables []*SSTable, lo, hi []byte) (over, rest []*SSTable) {
 }
 
 // insertSorted merges new tables into a level, keeping it sorted by smallest
-// key. Levels ≥1 are non-overlapping by construction.
+// key. Both lists are already sorted, and levels ≥1 are non-overlapping by
+// construction, so no two tables share a smallest key.
 func insertSorted(level, add []*SSTable) []*SSTable {
-	out := append(append([]*SSTable(nil), level...), add...)
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].smallest, out[j].smallest) < 0
-	})
-	return out
+	out := make([]*SSTable, 0, len(level)+len(add))
+	for len(level) > 0 && len(add) > 0 {
+		if bytes.Compare(add[0].smallest, level[0].smallest) < 0 {
+			out, add = append(out, add[0]), add[1:]
+		} else {
+			out, level = append(out, level[0]), level[1:]
+		}
+	}
+	out = append(out, level...)
+	return append(out, add...)
 }
